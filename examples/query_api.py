@@ -8,7 +8,7 @@ planner drops to pivot aggregation plus Monte-Carlo estimation with
 CI-driven sample sizing, Section 5.5).  The closing section shows the
 self-tuning layers: the cross-session result cache replaying a completed
 answer, ``execute_many`` fusing a multi-depth batch into one rank-matrix
-sweep, and ``explain()`` citing measured (calibrated) kernel rates.
+sweep, and ``explain()`` reporting the plan's operation-count estimate.
 
 Run with ``PYTHONPATH=src python examples/query_api.py``.
 """
@@ -104,7 +104,7 @@ def main() -> None:
     )
 
     # ------------------------------------------------------------------
-    # Self-tuning: warm result cache, fused batches, calibrated costs.
+    # Self-tuning: warm result cache, fused batches, cost estimates.
     # ------------------------------------------------------------------
     print("\n-- self-tuning planner " + "-" * 41)
     # Completed answers replay from the cross-session result cache while
@@ -126,15 +126,13 @@ def main() -> None:
         + ", ".join(f"{len(answer.value)} rows" for answer in answers)
     )
 
-    # explain() reports measured wall-clock estimates once the planner
-    # has a calibration table for this host (micro-probed at first use,
-    # or fitted from benchmarks/results/ timing documents).
+    # explain() estimates a plan's work as an operation count.
     est_line = next(
         line
         for line in connection.explain(footrule).splitlines()
-        if "est. time" in line
+        if "est. cost" in line
     )
-    print(f"calibrated cost estimate: {est_line.strip()}")
+    print(f"cost estimate: {est_line.strip()}")
 
 
 if __name__ == "__main__":

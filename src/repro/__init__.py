@@ -78,14 +78,7 @@ invalidation, re-scoring or backend switch structurally misses.
 ``connection.execute_many(queries)`` fuses a batch wanting the
 rank-matrix artifact at several depths into one ``k_max`` sweep answered
 by exact column-prefix slices (the serving executor fuses its
-micro-batches the same way).  Cost estimates are calibrated: measured
-per-kernel rates (fitted from ``benchmarks/results/`` timings, or
-micro-probed at first use) give ``explain()`` wall-clock estimates and
-set the exact-vs-sampling crossovers from data instead of constants.
-
-The pre-declarative module-level functions
-(``repro.mean_topk_symmetric_difference`` and friends) keep working but
-emit :class:`DeprecationWarning` and re-route through the planner.
+micro-batches the same way).
 
 Architecture
 ------------
@@ -239,9 +232,9 @@ The ``repro`` console script (``[project.scripts]``; also
 protocol from a terminal -- ``repro serve --scenario movie_ratings
 --shards 4``, then ``repro query mean_topk_footrule -k 5``,
 ``repro explain``, ``repro top`` (live qps/latency/admissions deltas) and
-``repro health``.  It renders through ``typer``/``rich`` when they are
-importable and falls back to ``argparse`` + plain tables otherwise
-(``REPRO_CLI_PLAIN=1`` forces the fallback).
+``repro health``.  It parses arguments with ``argparse`` and renders
+tables through ``rich`` when it is importable, plain text otherwise
+(``REPRO_CLI_PLAIN=1`` forces plain text).
 """
 
 from repro.core.tuples import TupleAlternative
@@ -292,20 +285,6 @@ from repro.consensus import (
     expected_jaccard_distance_to_world,
     expected_symmetric_difference_to_world,
 )
-# The pre-declarative consensus entry points: deprecation shims that
-# re-route through the planner (identical answers, DeprecationWarning).
-from repro.query.shims import (
-    approximate_topk_intersection,
-    approximate_topk_kendall,
-    mean_topk_footrule,
-    mean_topk_intersection,
-    mean_topk_symmetric_difference,
-    mean_world_jaccard_tuple_independent,
-    mean_world_symmetric_difference,
-    median_topk_symmetric_difference,
-    median_world_jaccard_bid,
-    median_world_symmetric_difference,
-)
 
 __version__ = "1.1.0"
 
@@ -351,18 +330,8 @@ __all__ = [
     "ShardedQuerySession",
     "ServingExecutor",
     "QueryRequest",
-    "mean_world_symmetric_difference",
-    "median_world_symmetric_difference",
     "expected_symmetric_difference_to_world",
-    "mean_world_jaccard_tuple_independent",
-    "median_world_jaccard_bid",
     "expected_jaccard_distance_to_world",
-    "mean_topk_symmetric_difference",
-    "median_topk_symmetric_difference",
-    "mean_topk_intersection",
-    "approximate_topk_intersection",
-    "mean_topk_footrule",
-    "approximate_topk_kendall",
     "GroupByCountConsensus",
     "consensus_clustering",
 ]

@@ -5,8 +5,7 @@ These are the algorithm implementations the query planner
 ``repro.connect(...)`` and declarative :class:`~repro.query.ConsensusQuery`
 objects, which pick exact / approximate / Monte-Carlo execution from the
 paper's hardness map.  The functions here stay importable directly (the
-sessions and the planner use them), while the *top-level* re-exports in
-:mod:`repro` are deprecation shims.
+sessions and the planner use them).
 
 Sub-modules
 -----------

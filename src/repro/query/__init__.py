@@ -16,9 +16,6 @@ with an exact PTIME algorithm, an approximation, or an NP-hardness result
 * :func:`connect` / :class:`Connection` -- one facade over local, sharded
   and served deployments; every query executes identically through any of
   them and returns a :class:`QueryAnswer` with provenance and timing.
-
-The legacy module-level entry points survive as deprecation shims
-(:mod:`repro.query.shims`) that re-route through this planner.
 """
 
 from repro.query.answers import PlanSummary, QueryAnswer
@@ -28,16 +25,7 @@ from repro.query.wire import (
     query_from_dict,
     query_to_dict,
 )
-from repro.query.calibration import (
-    KERNELS,
-    CalibrationTable,
-    derive_batch_size,
-    fit_from_results,
-    host_fingerprint,
-    kendall_crossover,
-    load_calibration,
-    micro_calibrate,
-)
+from repro.query.calibration import host_fingerprint
 from repro.query.builder import (
     FAMILIES,
     MODES,
@@ -100,14 +88,7 @@ __all__ = [
     "ResultCacheStats",
     "answer_key",
     "result_cache_for",
-    "CalibrationTable",
-    "KERNELS",
     "host_fingerprint",
-    "micro_calibrate",
-    "fit_from_results",
-    "load_calibration",
-    "kendall_crossover",
-    "derive_batch_size",
     "LEGACY_KINDS",
     "query_for_kind",
     "required_max_rank",

@@ -19,7 +19,8 @@ control sheds load with 429 + ``Retry-After`` once ``max_inflight``
 queries are in flight, per-request deadlines propagate into
 ``execute(deadline_ms=...)`` and surface as 504, a shard outage that
 exhausts every fallback is 503 (degraded answers, when enabled, still
-arrive as 200 with ``degraded: true``), malformed JSON is 400, and every
+arrive as 200 with ``degraded: true``), malformed JSON or an invalid
+update value is 400, an update to an unknown key is 404, and every
 admission decision is tallied per status in :attr:`ReproServer.admissions`
 -- nothing is ever dropped silently.
 """
@@ -35,6 +36,7 @@ from typing import Any, Dict, Optional, Tuple, Union
 from repro.exceptions import (
     ConsensusError,
     DeadlineExceededError,
+    ModelError,
     PlanningError,
     ReproError,
     ShardUnavailableError,
@@ -424,14 +426,27 @@ class ReproServer:
         if "key" not in body:
             raise ConsensusError("an update needs a 'key'")
         key = decode_value(body["key"])
-        probability = body.get("probability")
-        score = body.get("score")
+        values: Dict[str, Optional[float]] = {}
+        for name in ("probability", "score"):
+            value = body.get(name)
+            try:
+                values[name] = None if value is None else float(value)
+            except (TypeError, ValueError):
+                raise ConsensusError(
+                    f"{name!r} must be a number, got {value!r}"
+                ) from None
         try:
-            await self._executor.update(
-                key,
-                probability=None if probability is None else float(probability),
-                score=None if score is None else float(score),
-            )
+            self._executor.database.shard_of(key)
+        except ModelError as error:
+            return 404, self._error_payload(error), None
+        except TypeError:
+            raise ConsensusError(
+                f"an update key must be hashable, got {key!r}"
+            ) from None
+        try:
+            await self._executor.update(key, **values)
+        except ModelError as error:
+            return 400, self._error_payload(error), None
         except ShardUnavailableError as error:
             return 503, self._error_payload(error), None
         return (

@@ -26,11 +26,7 @@ from repro.serving.metrics import (
     ServingMetrics,
     ServingMetricsSnapshot,
 )
-from repro.serving.requests import (
-    QUERY_KINDS,
-    QueryRequest,
-    execute_request,
-)
+from repro.serving.requests import QUERY_KINDS, QueryRequest
 
 __all__ = [
     "LatencyRecorder",
@@ -39,14 +35,5 @@ __all__ = [
     "ServingExecutor",
     "ServingMetrics",
     "ServingMetricsSnapshot",
-    "execute_request",
 ]
 
-
-def __getattr__(name: str):
-    # QUERY_DISPATCH moved behind a deprecation shim in .requests.
-    if name == "QUERY_DISPATCH":
-        from repro.serving import requests
-
-        return requests.QUERY_DISPATCH
-    raise AttributeError(name)

@@ -5,16 +5,12 @@ query.  Since the declarative API landed, it is a thin veneer: every
 request converts to exactly one :class:`~repro.query.ConsensusQuery`
 (:meth:`QueryRequest.to_query`), and all execution -- including the
 executor's request coalescing, which keys on the query objects' stable
-hash -- goes through the hardness-aware planner.  The hand-rolled
-ten-entry dispatch table this module used to carry is gone;
-``QUERY_KINDS`` lists the supported wire kinds (one per legacy dispatch
-entry), and accessing the old ``QUERY_DISPATCH`` name lazily rebuilds an
-equivalent mapping with a :class:`DeprecationWarning`.
+hash -- goes through the hardness-aware planner.  ``QUERY_KINDS`` lists
+the supported wire kinds.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Optional, Tuple, Union
 
@@ -22,8 +18,6 @@ from repro.exceptions import ConsensusError
 from repro.query.builder import ConsensusQuery
 from repro.query.compat import LEGACY_KINDS, query_for_kind
 from repro.query.compat import required_max_rank as _query_required_max_rank
-from repro.query.planner import DEFAULT_PLANNER
-from repro.session import QuerySession
 
 #: The supported wire kinds (the former dispatch-table keys).
 QUERY_KINDS: Tuple[str, ...] = LEGACY_KINDS
@@ -162,24 +156,6 @@ def as_query(
     return request.to_query()
 
 
-def execute_request(
-    session: QuerySession, request: Union[QueryRequest, ConsensusQuery]
-) -> Any:
-    """Deprecated: run one request against a (coordinator) session.
-
-    Kept for source compatibility with the dispatch-table era; equivalent
-    to ``request.to_query().execute(session).value`` (but skips the answer
-    wrapping).  Prefer :meth:`ConsensusQuery.execute`.
-    """
-    warnings.warn(
-        "repro.serving.execute_request() is deprecated; use "
-        "ConsensusQuery.execute(session) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return DEFAULT_PLANNER.run(as_query(request), session)
-
-
 def required_max_rank(
     request: Union[QueryRequest, ConsensusQuery]
 ) -> Optional[int]:
@@ -189,24 +165,3 @@ def required_max_rank(
     """
     return _query_required_max_rank(as_query(request))
 
-
-def __getattr__(name: str) -> Any:
-    # The dispatch table is gone; legacy importers get a synthesized
-    # equivalent (every kind routed through the planner) plus a warning.
-    if name == "QUERY_DISPATCH":
-        warnings.warn(
-            "repro.serving.requests.QUERY_DISPATCH is deprecated; the "
-            "dispatch table was replaced by ConsensusQuery.execute() -- "
-            "iterate QUERY_KINDS instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return {
-            kind: (
-                lambda session, request: DEFAULT_PLANNER.run(
-                    as_query(request), session
-                )
-            )
-            for kind in QUERY_KINDS
-        }
-    raise AttributeError(name)

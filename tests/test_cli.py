@@ -1,4 +1,4 @@
-"""The ``repro`` CLI: argparse fallback, rich rendering, typer wiring."""
+"""The ``repro`` CLI: argparse parsing, plain and rich rendering."""
 
 import os
 import sys
@@ -32,7 +32,7 @@ def endpoint(thread):
 
 
 # ----------------------------------------------------------------------
-# argparse fallback (the live path in the base image: no typer, no rich)
+# argparse + plain-text rendering (rich is optional)
 # ----------------------------------------------------------------------
 class TestArgparseCli:
     def test_parser_builds_and_rejects_garbage(self):
@@ -262,114 +262,3 @@ class TestRichRendering:
         assert main(["health"] + endpoint(server)) == EXIT_OK
         output = capsys.readouterr().out
         assert "status" in output  # plain table still rendered
-
-
-# ----------------------------------------------------------------------
-# typer-present path: commands wire through a typer-like application
-# ----------------------------------------------------------------------
-class _FakeTyperApp:
-    """A minimal stand-in honouring the slice of typer the CLI uses:
-    ``Typer(...)``, ``@app.command()`` and ``app(args=..., prog_name=...)``
-    with ``--option value`` parsing against the command's defaults."""
-
-    def __init__(self, **kwargs):
-        self.commands = {}
-
-    def command(self, *args, **kwargs):
-        def register(function):
-            self.commands[function.__name__] = function
-            return function
-
-        return register
-
-    def __call__(self, args=None, prog_name=None, **kwargs):
-        args = list(args or [])
-        if not args or args[0] not in self.commands:
-            raise SystemExit(2)
-        function = self.commands[args[0]]
-        positional = []
-        options = {}
-        rest = args[1:]
-        index = 0
-        while index < len(rest):
-            token = rest[index]
-            if token.startswith("--"):
-                name = token[2:].replace("-", "_")
-                options[name] = rest[index + 1]
-                index += 2
-            else:
-                positional.append(token)
-                index += 1
-        import inspect
-
-        signature = inspect.signature(function)
-        bound = {}
-        parameters = list(signature.parameters.values())
-        for value, parameter in zip(positional, parameters):
-            bound[parameter.name] = value
-        for name, value in options.items():
-            parameter = signature.parameters[name]
-            default = parameter.default
-            if isinstance(default, bool):
-                bound[name] = value in ("1", "true", "True")
-            elif isinstance(default, int):
-                bound[name] = int(value)
-            elif isinstance(default, float):
-                bound[name] = float(value)
-            elif default is None:
-                # Optional[...] parameters: mimic typer's annotation-based
-                # coercion with a numeric-first heuristic.
-                for caster in (int, float):
-                    try:
-                        bound[name] = caster(value)
-                        break
-                    except ValueError:
-                        continue
-                else:
-                    bound[name] = value
-            else:
-                bound[name] = value
-        function(**bound)
-
-
-@pytest.fixture()
-def fake_typer(monkeypatch):
-    typer = types.ModuleType("typer")
-    typer.Typer = _FakeTyperApp
-    monkeypatch.setitem(sys.modules, "typer", typer)
-    monkeypatch.delenv("REPRO_CLI_PLAIN", raising=False)
-    yield typer
-
-
-class TestTyperWiring:
-    def test_health_routes_through_typer_app(self, fake_typer, server, capsys):
-        code = main(
-            ["health", "--host", server.host, "--port", str(server.port)]
-        )
-        assert code == EXIT_OK
-        assert "status" in capsys.readouterr().out
-
-    def test_query_routes_through_typer_app(self, fake_typer, server, capsys):
-        code = main(
-            [
-                "query",
-                "global_topk",
-                "--k",
-                str(K),
-                "--host",
-                server.host,
-                "--port",
-                str(server.port),
-            ]
-        )
-        assert code == EXIT_OK
-        assert "answer" in capsys.readouterr().out
-
-    def test_plain_env_skips_typer(self, fake_typer, server, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_CLI_PLAIN", "1")
-        # The fake typer app would explode on argparse-style "-k"; forcing
-        # the plain path must route around it entirely.
-        code = main(
-            ["query", "global_topk", "-k", str(K)] + endpoint(server)
-        )
-        assert code == EXIT_OK

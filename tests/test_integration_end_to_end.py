@@ -11,15 +11,10 @@ import repro
 from repro import (
     BlockIndependentDatabase,
     GroupByCountConsensus,
+    Query,
     TupleIndependentDatabase,
-    approximate_topk_intersection,
     consensus_clustering,
     enumerate_worlds,
-    mean_topk_footrule,
-    mean_topk_intersection,
-    mean_topk_symmetric_difference,
-    mean_world_symmetric_difference,
-    median_topk_symmetric_difference,
 )
 from repro.algebra import (
     DeterministicRelation,
@@ -52,12 +47,18 @@ class TestSensorScenarioPipeline:
     def test_topk_consensus_pipeline(self):
         scenario = sensor_network_scenario(sensor_count=7)
         tree = scenario.database.tree
-        statistics = scenario.database.rank_statistics()
+        connection = repro.connect(scenario.database.rank_statistics())
         k = 3
-        mean_answer, mean_value = mean_topk_symmetric_difference(statistics, k)
-        median_answer, median_value = median_topk_symmetric_difference(statistics, k)
-        intersection_answer, _ = mean_topk_intersection(statistics, k)
-        footrule_answer, _ = mean_topk_footrule(statistics, k)
+        mean_answer, mean_value = connection.execute(Query.topk(k)).value
+        median_answer, median_value = connection.execute(
+            Query.topk(k).median()
+        ).value
+        intersection_answer, _ = connection.execute(
+            Query.topk(k).distance("intersection")
+        ).value
+        footrule_answer, _ = connection.execute(
+            Query.topk(k).distance("footrule")
+        ).value
         assert len(mean_answer) == len(median_answer) == k
         assert len(intersection_answer) == len(footrule_answer) == k
         assert median_value >= mean_value - 1e-9
@@ -76,7 +77,7 @@ class TestSensorScenarioPipeline:
         assert tuple(global_topk(statistics, k)) == expected
         assert tuple(expected_rank_topk(statistics, k)) == expected
         assert tuple(u_topk(statistics, k)) == expected
-        consensus, value = mean_topk_symmetric_difference(statistics, k)
+        consensus, value = repro.connect(statistics).execute(Query.topk(k)).value
         assert tuple(consensus) == expected
         assert math.isclose(value, 0.0, abs_tol=1e-12)
 
@@ -108,7 +109,9 @@ class TestMovieScenarioPipeline:
         scenario = movie_rating_scenario(movie_count=8)
         statistics = scenario.database.rank_statistics()
         k = 3
-        _, consensus_value = mean_topk_symmetric_difference(statistics, k)
+        _, consensus_value = repro.connect(statistics).execute(
+            Query.topk(k)
+        ).value
         for baseline in (global_topk, expected_rank_topk):
             answer = baseline(statistics, k)
             value = expected_topk_symmetric_difference(statistics, answer, k)
@@ -146,7 +149,9 @@ class TestAlgebraToConsensusPipeline:
             ]
             worlds.append((alternatives, probability))
         tree = from_explicit_worlds(worlds)
-        mean_world, value = mean_world_symmetric_difference(tree)
+        mean_world, value = repro.connect(tree).execute(
+            Query.set_consensus()
+        ).value
         # p1 (0.7) and p3 (0.8) and p2 (always present: 0.4 + 0.6 = 1.0).
         keys = {alternative.key for alternative in mean_world}
         assert keys == {"p1", "p2", "p3"}

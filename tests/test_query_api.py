@@ -264,22 +264,6 @@ def test_aggregate_query_parity():
     assert median.plan.route == "approximate"
 
 
-def test_deprecated_shims_return_identical_answers():
-    import repro
-
-    database = small_tuple_independent(3, count=6)
-    session = QuerySession(database.tree)
-    with pytest.warns(DeprecationWarning):
-        legacy = repro.mean_topk_footrule(database.tree, 3)
-    assert legacy == session.mean_topk_footrule(3)
-    with pytest.warns(DeprecationWarning):
-        legacy_world = repro.mean_world_symmetric_difference(database.tree)
-    assert legacy_world == mean_world_symmetric_difference(database.tree)
-    with pytest.warns(DeprecationWarning):
-        kendall = repro.approximate_topk_kendall(database.tree, 3)
-    assert kendall == session.approximate_topk_kendall(3)
-
-
 # ----------------------------------------------------------------------
 # Planner routing
 # ----------------------------------------------------------------------

@@ -1,12 +1,9 @@
-"""The self-tuning planner stack: calibration, result cache, fused plans.
+"""The planner's performance layers: fixed routes, result cache, fused plans.
 
-Three cooperating performance layers, each with a correctness contract:
+Each layer has a correctness contract:
 
-* **Calibrated cost models** -- micro-probes and benchmark fits produce
-  per-kernel seconds-per-op rates keyed to the host; the planner derives
-  its exact-vs-sampling crossovers from them (clamped), and
-  ``explain()`` reports measured wall-clock estimates.  Stale-host
-  tables must be rejected.
+* **Fixed routes** -- the exact-vs-sampling choice comes from named
+  constants, so no file left on disk can move a query's route.
 * **Cross-session result cache** -- completed answers replay only at an
   unchanged version token and backend: any invalidation, re-scoring,
   shard version bump or backend switch must miss.  Cached answers are
@@ -20,25 +17,25 @@ Three cooperating performance layers, each with a correctness contract:
 from __future__ import annotations
 
 import asyncio
+import json
 
 import pytest
 
-from repro.engine import get_backend, numpy_available, use_backend
+from tests.conftest import small_tuple_independent
+from repro.consensus.topk.kendall import brute_force_mean_topk_kendall
+
+from repro.engine import numpy_available, use_backend
 from repro.models import ShardedDatabase
 from repro.query import (
-    CalibrationTable,
     Planner,
     Query,
     ResultCache,
     answer_key,
     connect,
-    derive_batch_size,
-    kendall_crossover,
-    micro_calibrate,
     query_for_kind,
     result_cache_for,
 )
-from repro.query.calibration import host_fingerprint
+from repro.query.calibration import DEFAULT_CALIBRATION_PATH, host_fingerprint
 from repro.serving import ServingExecutor
 from repro.session import QuerySession
 from repro.workloads.generators import random_tuple_independent_database
@@ -410,124 +407,53 @@ class TestServedResultCache:
 
 
 # ----------------------------------------------------------------------
-# Calibration
+# Fixed routes
 # ----------------------------------------------------------------------
 class TestCalibration:
-    def test_micro_calibrate_records_every_kernel_family(self):
-        table = micro_calibrate(sizes=(32,))
-        assert table.source == "micro"
-        backend = get_backend().name
-        for kernel in (
-            "rank_sweep",
-            "mc_sample",
-            "prefix_scan",
-            "footrule_assignment",
-            "size_tables",
-            "tree_pass",
-            "pivot_grid",
-            "kendall_enumeration",
-        ):
-            n = 6 if kernel == "kendall_enumeration" else 32
-            rate = table.rate_for(backend, "tuple-independent", kernel, n)
-            assert rate is not None and rate > 0, kernel
-
-    def test_roundtrip_and_stale_host_rejection(self, tmp_path):
-        table = micro_calibrate(sizes=(32,))
-        path = str(tmp_path / "calibration.json")
-        table.save(path)
-        loaded = CalibrationTable.load(path)
-        assert loaded is not None and len(loaded) == len(table)
-        document = table.to_document()
-        document["host"] = dict(document["host"], cpu_count=-1)
-        assert CalibrationTable.from_document(document) is None
-
     def test_host_fingerprint_shape(self):
         fingerprint = host_fingerprint()
         assert set(fingerprint) == {"cpu_count", "platform", "python"}
 
-    def test_crossover_is_clamped_and_cites_measurements(self):
-        backend = get_backend().name
-        fast = CalibrationTable(source="micro")
-        fast.record(
-            backend, "tuple-independent", "kendall_enumeration", 6, 1e12, 1e-3
-        )
-        limit, note = kendall_crossover(fast, backend, "tuple-independent")
-        assert limit == Planner.KENDALL_LIMIT_CEILING
-        assert note is not None and "measured" in note
-        slow = CalibrationTable(source="micro")
-        slow.record(
-            backend, "tuple-independent", "kendall_enumeration", 6, 1.0, 10.0
-        )
-        limit, _ = kendall_crossover(slow, backend, "tuple-independent")
-        assert limit == Planner.KENDALL_LIMIT_FLOOR
-        empty = CalibrationTable(source="micro")
-        limit, note = kendall_crossover(
-            empty, backend, "tuple-independent", fallback=6
-        )
-        assert limit == 6 and note is None
-
-    def test_planner_reports_measured_costs(self):
-        table = micro_calibrate(sizes=(32,))
-        planner = Planner(calibration=table)
-        session = QuerySession(_database().tree)
-        plan = planner.plan_for(Query.topk(K), session, "local")
-        assert plan.cost_source == "micro-calibrated"
-        assert plan.cost_seconds is not None and plan.cost_seconds > 0
-        assert "measured" in plan.explain()
-        floor = Planner.KENDALL_LIMIT_FLOOR
-        ceiling = Planner.KENDALL_LIMIT_CEILING
-        assert floor <= planner.kendall_exact_limit <= ceiling
-
-    def test_planner_tops_up_uncovered_backend(self):
-        # A table fitted on one backend must not leave the other backend
-        # stuck on heuristics: the planner micro-probes the active
-        # backend once and folds the rates into the loaded table.
-        active = get_backend().name
-        other = next(name for name in BACKENDS if name != active) if (
-            len(BACKENDS) > 1
-        ) else None
-        if other is None:
-            pytest.skip("single-backend host")
-        with use_backend(other):
-            foreign = micro_calibrate(sizes=(32,))
-        assert not foreign.has_backend(active)
-        planner = Planner(calibration=foreign)
-        session = QuerySession(_database().tree)
-        plan = planner.plan_for(Query.topk(K), session, "local")
-        assert plan.cost_source in ("calibrated", "micro-calibrated")
-        assert plan.cost_seconds is not None and plan.cost_seconds > 0
-        assert planner.calibration_table().has_backend(active)
-
-    def test_uncalibrated_planner_stays_heuristic(self):
-        planner = Planner(micro_calibrate=False)
-        assert planner.calibration_table() is None or True  # resolves lazily
-        session = QuerySession(_database().tree)
-        plan = planner.plan_for(Query.topk(K), session, "local")
-        if plan.cost_source == "heuristic":
-            assert plan.cost_seconds is None
-            assert "operation counts only" in plan.explain()
-
     def test_explicit_kendall_limit_wins(self):
-        planner = Planner(kendall_exact_limit=9, micro_calibrate=False)
+        planner = Planner(kendall_exact_limit=9)
         assert planner.kendall_exact_limit == 9
         assert planner.kendall_limit_note is None
 
-    def test_derive_batch_size_clamps(self):
-        backend = get_backend().name
-        table = CalibrationTable(source="micro")
-        # Implausibly slow sampling: the floor must hold.
-        table.record(backend, "tuple-independent", "mc_sample", 64, 1.0, 50.0)
-        assert (
-            derive_batch_size(table, backend, "tuple-independent", 64) == 256
-        )
-        fast = CalibrationTable(source="micro")
-        fast.record(
-            backend, "tuple-independent", "mc_sample", 64, 1e12, 1e-6
-        )
-        assert (
-            derive_batch_size(fast, backend, "tuple-independent", 64) == 16384
-        )
-        empty = CalibrationTable(source="micro")
-        assert (
-            derive_batch_size(empty, backend, "tuple-independent", 64) == 2048
-        )
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_leftover_calibration_file_does_not_move_kendall_route(
+        self, backend, tmp_path, monkeypatch
+    ):
+        # A same-host kernel-rate table claiming exhaustive enumeration is
+        # slow, left where benchmark runs wrote one, must not send this
+        # 6-tuple query to sampling.
+        document = {
+            "experiment": "calibration",
+            "host": host_fingerprint(),
+            "source": "measured",
+            "calibration": [
+                {
+                    "backend": name,
+                    "layout": "tuple-independent",
+                    "kernel": "kendall_enumeration",
+                    "bucket": 3,
+                    "rates": [1.0],
+                }
+                for name in BACKENDS
+            ],
+        }
+        path = tmp_path / DEFAULT_CALIBRATION_PATH
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps(document))
+        monkeypatch.chdir(tmp_path)
+        tree = small_tuple_independent(3, count=6).tree
+        with use_backend(backend):
+            plan = Planner().plan_for(
+                Query.topk(3).distance("kendall"), QuerySession(tree), "local"
+            )
+            assert plan.route == "exact"
+            answer, objective = plan.run()
+            expected_answer, expected = brute_force_mean_topk_kendall(
+                QuerySession(tree), 3
+            )
+        assert answer == expected_answer
+        assert abs(objective - expected) <= TOLERANCE

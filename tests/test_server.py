@@ -406,6 +406,36 @@ class TestEndpoints:
         after = list(sharded.versions())
         assert after[sharded.shard_of(key)] == before[sharded.shard_of(key)] + 1
 
+    @pytest.mark.parametrize(
+        "key, probability, status, error_type",
+        [
+            ("no-such-key", 0.5, 404, "ModelError"),
+            (None, 1.5, 400, "ProbabilityError"),
+            (None, "abc", 400, "ConsensusError"),
+        ],
+    )
+    def test_update_client_mistakes_are_4xx(
+        self, server, key, probability, status, error_type
+    ):
+        database, sharded, thread, client = server
+        if key is None:
+            key = sorted(database.tree.keys())[0]
+        client.query(QueryRequest.make("global_topk", K))
+        before = list(sharded.versions())
+        ledger = dict(thread.server.admissions)
+        assert ledger == {200: 1}
+        got, _headers, body = client.request(
+            "POST",
+            "/update",
+            {"key": encode_value(key), "probability": probability},
+        )
+        assert got == status
+        assert body["type"] == error_type and body["error"]
+        assert list(sharded.versions()) == before
+        # Updates are not query admissions: a refused one leaves the
+        # ledger untouched.
+        assert thread.server.admissions == ledger
+
     def test_unknown_resource_404_and_bad_method_405(self, server):
         _database, _sharded, _thread, client = server
         status, _headers, _body = client.request("GET", "/no/such/thing")

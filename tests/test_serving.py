@@ -9,11 +9,8 @@ import pytest
 
 from repro.exceptions import ConsensusError, WorkloadError
 from repro.models import ShardedDatabase
-from repro.serving import (
-    QueryRequest,
-    ServingExecutor,
-    execute_request,
-)
+from repro.query import connect
+from repro.serving import QueryRequest, ServingExecutor
 from repro.serving.requests import required_max_rank
 from repro.serving.metrics import LatencyRecorder
 from repro.session import QuerySession
@@ -48,16 +45,15 @@ class TestRequests:
     def test_unknown_kind_raises(self):
         database, _ = make_sharded()
         with pytest.raises(ConsensusError):
-            execute_request(
-                QuerySession(database.tree), QueryRequest.make("no_such", 3)
+            connect(database).execute(
+                QueryRequest.make("no_such", 3).to_query()
             )
 
     def test_missing_k_raises(self):
         database, _ = make_sharded()
         with pytest.raises(ConsensusError):
-            execute_request(
-                QuerySession(database.tree),
-                QueryRequest.make("mean_topk_footrule"),
+            connect(database).execute(
+                QueryRequest.make("mean_topk_footrule").to_query()
             )
 
     def test_required_max_rank(self):
@@ -68,8 +64,8 @@ class TestRequests:
 
     def test_every_kind_dispatches(self):
         database, sharded = make_sharded()
-        session = sharded.coordinator()
-        oracle = QuerySession(database.tree)
+        merged_connection = connect(sharded, result_cache=False)
+        oracle = connect(database, result_cache=False)
         for kind in (
             "mean_topk_symmetric_difference",
             "median_topk_symmetric_difference",
@@ -82,9 +78,9 @@ class TestRequests:
             "global_topk",
             "expected_rank_topk",
         ):
-            request = QueryRequest.make(kind, K)
-            merged = execute_request(session, request)
-            reference = execute_request(oracle, request)
+            query = QueryRequest.make(kind, K).to_query()
+            merged = merged_connection.execute(query).value
+            reference = oracle.execute(query).value
             assert merged == reference or _close(merged, reference), kind
 
 
@@ -398,19 +394,6 @@ class TestTrafficGenerator:
         from repro.serving.requests import QUERY_KINDS
 
         assert set(DEFAULT_QUERY_MIX) <= set(QUERY_KINDS)
-
-    def test_query_dispatch_shim_warns_and_dispatches(self):
-        with pytest.warns(DeprecationWarning):
-            from repro.serving import requests
-
-            dispatch = requests.QUERY_DISPATCH
-        assert set(dispatch) == set(requests.QUERY_KINDS)
-        database, _ = make_sharded(count=8)
-        session = QuerySession(database.tree)
-        handler = dispatch["top_k_membership"]
-        assert handler(session, QueryRequest.make("top_k_membership", 2)) == (
-            session.top_k_membership(2)
-        )
 
     def test_replay_orders_updates_as_barriers(self):
         _, sharded = make_sharded(count=12, shard_count=3)
