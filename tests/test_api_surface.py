@@ -9,10 +9,14 @@ consensus functions are gone from the top level: queries go through
 
 from __future__ import annotations
 
+import random
 import warnings
 
+import pytest
+
 import repro
-from tests.conftest import small_tuple_independent
+from repro.query import Query, connect
+from tests.conftest import small_bid, small_tuple_independent
 
 #: The exact public surface.  Keep sorted-by-section in repro/__init__ but
 #: compared as a set here so reordering is not an API event.
@@ -93,9 +97,9 @@ class TestApiSurface:
         for name in repro.__all__:
             assert getattr(repro, name) is not None, name
 
-    def test_removed_shims_are_gone(self):
-        for name in REMOVED_SHIMS:
-            assert not hasattr(repro, name), name
+    @pytest.mark.parametrize("name", REMOVED_SHIMS)
+    def test_removed_shims_are_gone(self, name):
+        assert not hasattr(repro, name), name
 
     def test_consensus_module_functions_are_not_shimmed(self):
         # The algorithm implementations stay warning-free: sessions and
@@ -106,3 +110,57 @@ class TestApiSurface:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             footrule.mean_topk_footrule(database.tree, 2)
+
+
+#: The declarative query answering each removed top-level function.
+REPLACEMENT_QUERIES = {
+    "mean_topk_symmetric_difference": Query.topk(3),
+    "median_topk_symmetric_difference": Query.topk(3).median(),
+    "mean_topk_footrule": Query.topk(3).distance("footrule"),
+    "mean_topk_intersection": Query.topk(3).distance("intersection"),
+    "approximate_topk_intersection": (
+        Query.topk(3).distance("intersection").approximate()
+    ),
+    "approximate_topk_kendall": Query.topk(3).distance("kendall").approximate(),
+    "mean_world_symmetric_difference": Query.set_consensus(),
+    "median_world_symmetric_difference": Query.set_consensus("median"),
+    "mean_world_jaccard_tuple_independent": Query.jaccard(),
+    "median_world_jaccard_bid": Query.jaccard("median"),
+}
+
+
+class TestQueriesReplaceShims:
+    @pytest.mark.parametrize("name", REMOVED_SHIMS)
+    def test_query_matches_consensus_implementation(self, name):
+        # Each removed name still has its implementation in
+        # repro.consensus, and the declarative query answering it returns
+        # exactly what that implementation returns, without warnings.
+        import repro.consensus
+
+        if name.endswith("_bid"):
+            tree = small_bid(5, blocks=3).tree
+        else:
+            tree = small_tuple_independent(5, count=6).tree
+        direct = getattr(repro.consensus, name)
+        args = (tree,) if "world" in name else (tree, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            answer = connect(tree).execute(REPLACEMENT_QUERIES[name])
+            expected = direct(*args)
+        assert answer.value == expected, name
+
+    def test_kendall_query_forwards_pool_and_rng(self):
+        from repro.consensus.topk.kendall import approximate_topk_kendall
+
+        tree = small_tuple_independent(6, count=6).tree
+        query = (
+            Query.topk(2)
+            .distance("kendall")
+            .approximate()
+            .with_params(candidate_pool_size=4)
+        )
+        answer = connect(tree).execute(query, rng=random.Random(9))
+        direct = approximate_topk_kendall(
+            tree, 2, candidate_pool_size=4, rng=random.Random(9)
+        )
+        assert answer.value == direct

@@ -119,6 +119,21 @@ class TestArgparseCli:
         assert "p95" in output
         assert "admissions" in output
 
+    def test_installed_typer_is_not_used(self, server, capsys, monkeypatch):
+        # argparse is the only front end: a typer module on the path must
+        # not be imported or called, and argparse-style "-k" still works.
+        typer = types.ModuleType("typer")
+
+        def _refuse(*args, **kwargs):
+            raise AssertionError("the CLI must not build a typer app")
+
+        typer.Typer = _refuse
+        monkeypatch.setitem(sys.modules, "typer", typer)
+        monkeypatch.delenv("REPRO_CLI_PLAIN", raising=False)
+        code = main(["query", "global_topk", "-k", str(K)] + endpoint(server))
+        assert code == EXIT_OK
+        assert "answer" in capsys.readouterr().out
+
     def test_connection_error_is_clean(self, capsys):
         code = main(
             ["health", "--host", "127.0.0.1", "--port", "1", "--timeout", "2"]

@@ -17,7 +17,11 @@ Each layer has a correctness contract:
 from __future__ import annotations
 
 import asyncio
+import inspect
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -418,6 +422,109 @@ class TestCalibration:
         planner = Planner(kendall_exact_limit=9)
         assert planner.kendall_exact_limit == 9
         assert planner.kendall_limit_note is None
+
+    def test_planner_has_four_settable_values(self):
+        parameters = inspect.signature(Planner.__init__).parameters
+        assert list(parameters) == [
+            "self",
+            "kendall_exact_limit",
+            "default_samples",
+            "max_samples",
+            "batch_size",
+        ]
+        # No auto modes: every default is a concrete number.
+        for name, parameter in parameters.items():
+            if name != "self":
+                assert isinstance(parameter.default, int), name
+
+    def test_defaults_are_the_named_constants(self):
+        planner = Planner()
+        assert planner.kendall_exact_limit == Planner.KENDALL_LIMIT_DEFAULT == 6
+        assert planner.batch_size == Planner.BATCH_SIZE_DEFAULT == 2048
+
+    def test_calibration_hooks_always_return_none(self):
+        planner = Planner()
+        session = QuerySession(_database().tree)
+        planner.plan_for(Query.topk(K).distance("kendall"), session, "local")
+        assert planner.calibration_table() is None
+        assert planner.kendall_limit_note is None
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_kendall_route_switches_exactly_at_the_limit(self, backend):
+        limit = Planner.KENDALL_LIMIT_DEFAULT
+        query = Query.topk(3).distance("kendall")
+        with use_backend(backend):
+            at_limit = QuerySession(small_tuple_independent(3, limit).tree)
+            above = QuerySession(small_tuple_independent(3, limit + 1).tree)
+            assert Planner().plan_for(query, at_limit, "local").route == "exact"
+            assert Planner().plan_for(query, above, "local").route == "sample"
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            Query.topk(K),
+            Query.topk(K).distance("footrule"),
+            Query.topk(K).distance("kendall"),
+            Query.set_consensus(),
+            Query.membership(K),
+        ],
+        ids=lambda query: query.kind,
+    )
+    def test_explain_reports_operation_counts_only(self, query):
+        session = QuerySession(_database().tree)
+        plan = Planner().plan_for(query, session, "local")
+        text = plan.explain()
+        assert "est. cost:" in text and "ops" in text
+        assert "est. time" not in text
+        assert not hasattr(plan, "cost_seconds")
+        assert not hasattr(plan, "cost_source")
+
+    @pytest.mark.parametrize("batch_size", [300, Planner.BATCH_SIZE_DEFAULT])
+    def test_batch_size_sets_the_ci_check_interval(self, batch_size):
+        # A loose epsilon is met by the first batch, so exactly one
+        # batch of the configured size is drawn.
+        planner = Planner(batch_size=batch_size)
+        session = QuerySession(_database().tree)
+        query = Query.topk(K).distance("kendall").epsilon(100.0)
+        plan = planner.plan_for(query, session, "local")
+        assert plan.route == "sample"
+        result = plan.execute(rng=5)
+        assert result.estimate.samples == batch_size
+
+    def test_same_route_and_answer_in_fresh_processes(self, tmp_path):
+        import repro
+
+        source_root = os.path.dirname(os.path.dirname(repro.__file__))
+        script = (
+            "from tests.conftest import small_tuple_independent\n"
+            "from repro.query import Planner, Query\n"
+            "from repro.session import QuerySession\n"
+            "tree = small_tuple_independent(3, count=6).tree\n"
+            "plan = Planner().plan_for(\n"
+            "    Query.topk(3).distance('kendall'), QuerySession(tree), 'local'\n"
+            ")\n"
+            "answer, objective = plan.run()\n"
+            "print(plan.route, list(answer), repr(objective))\n"
+        )
+        tests_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join([source_root, tests_root]),
+        )
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                cwd=str(tmp_path),
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+                check=True,
+            ).stdout
+            for _ in range(2)
+        ]
+        assert outputs[0] == outputs[1]
+        assert outputs[0].startswith("exact ")
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_leftover_calibration_file_does_not_move_kendall_route(

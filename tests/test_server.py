@@ -412,6 +412,8 @@ class TestEndpoints:
             ("no-such-key", 0.5, 404, "ModelError"),
             (None, 1.5, 400, "ProbabilityError"),
             (None, "abc", 400, "ConsensusError"),
+            (None, -0.25, 400, "ProbabilityError"),
+            (["a", "list"], 0.5, 400, "ConsensusError"),
         ],
     )
     def test_update_client_mistakes_are_4xx(
