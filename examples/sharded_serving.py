@@ -88,12 +88,12 @@ async def main() -> None:
         )
 
         # -- per-shard cache stats + roll-up ---------------------------
-        print("\nPer-shard session caches:")
+        print("\nPer-shard summary caches:")
         for shard in sharded.shards():
-            session = shard.session()
-            if session is None:
+            columns = shard.layout()
+            if columns is None:
                 continue
-            info = session.cache_info()
+            info = columns.cache_info()
             print(
                 f"  shard {shard.index}: {len(shard.keys()):2d} tuples, "
                 f"version {shard.version}, "
@@ -122,7 +122,7 @@ async def main() -> None:
     )
 
     # -- process-backed shards: the same API, no GIL -------------------
-    # executor="processes" moves every shard (database + warm session)
+    # executor="processes" moves every shard (its columns and prefix tables)
     # into its own worker process; the coordinator only exchanges compact
     # summaries (shared memory for large numpy prefix tables).  Prefer it
     # for large shards (n >= 10^4) on the numpy backend, where per-shard

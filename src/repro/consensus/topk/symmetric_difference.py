@@ -228,7 +228,6 @@ def median_topk_symmetric_difference(
     the ``O(n log k)`` sweep described in the module docstring.
     """
     session = as_session(source)
-    tree = session.tree
     membership = session.top_k_membership(k)
     layout = session.independent_tuple_layout()
     if layout is not None:
@@ -245,6 +244,7 @@ def median_topk_symmetric_difference(
         return ordered, expected_topk_symmetric_difference(
             session, ordered, k
         )
+    tree = session.tree  # the general route needs the (merged) tree
     thresholds = sorted(
         {
             session.score_of(alternative)

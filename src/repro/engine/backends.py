@@ -209,7 +209,11 @@ class Backend:
 
     # -- shard-merge kernels -------------------------------------------------
     def prefix_count_polynomials(
-        self, probabilities: Sequence[float], out_len: int
+        self,
+        probabilities: Sequence[float],
+        out_len: int,
+        base: Any = None,
+        start: int = 0,
     ) -> Any:
         """Truncated prefix products ``Π_{i<m} (1 - p_i + p_i x)``.
 
@@ -220,6 +224,12 @@ class Backend:
         database shard exports so a coordinator can recover exact global
         rank probabilities by convolving shard partials
         (:meth:`convolve_rows`).  Row 0 is the unit polynomial.
+
+        Row ``m`` depends only on the first ``m`` probabilities, so after a
+        change at index ``start`` pass the previous table as ``base``: rows
+        ``0 .. start`` are copied from it and the sweep resumes from row
+        ``start``.  The result is bit-identical to a full sweep, and
+        ``base`` is never modified.
         """
         raise NotImplementedError
 
@@ -563,14 +573,24 @@ class PurePythonBackend(Backend):
         return rows
 
     def prefix_count_polynomials(
-        self, probabilities: Sequence[float], out_len: int
+        self,
+        probabilities: Sequence[float],
+        out_len: int,
+        base: Any = None,
+        start: int = 0,
     ) -> List[List[float]]:
         if out_len < 1:
             return [[] for _ in range(len(probabilities) + 1)]
-        coefficients = [0.0] * out_len
-        coefficients[0] = 1.0
-        rows: List[List[float]] = [list(coefficients)]
-        for probability in probabilities:
+        if base is None:
+            start = 0
+            coefficients = [0.0] * out_len
+            coefficients[0] = 1.0
+            rows: List[List[float]] = [list(coefficients)]
+        else:
+            # Rows are shared read-only (the take_rows contract).
+            rows = list(base[: start + 1])
+            coefficients = list(rows[start])
+        for probability in probabilities[start:]:
             previous = 0.0
             for index in range(out_len):
                 current = coefficients[index]
@@ -1015,18 +1035,27 @@ class NumpyBackend(Backend):
         return presence
 
     def prefix_count_polynomials(
-        self, probabilities: Sequence[float], out_len: int
+        self,
+        probabilities: Sequence[float],
+        out_len: int,
+        base: Any = None,
+        start: int = 0,
     ) -> Any:
         values = _np.asarray(probabilities, dtype=_np.float64)
         count = values.shape[0]
         if out_len < 1:
             return _np.zeros((count + 1, 0), dtype=_np.float64)
         rows = _np.empty((count + 1, out_len), dtype=_np.float64)
-        coefficients = _np.zeros(out_len, dtype=_np.float64)
-        coefficients[0] = 1.0
-        rows[0] = coefficients
+        if base is None:
+            start = 0
+            coefficients = _np.zeros(out_len, dtype=_np.float64)
+            coefficients[0] = 1.0
+            rows[0] = coefficients
+        else:
+            rows[: start + 1] = base[: start + 1]
+            coefficients = rows[start].copy()
         shifted = _np.empty_like(coefficients)
-        for index in range(count):
+        for index in range(start, count):
             probability = values[index]
             shifted[0] = 0.0
             shifted[1:] = coefficients[:-1]

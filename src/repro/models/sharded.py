@@ -4,15 +4,23 @@
 (BID) database into ``shard_count`` shards -- by stable key hash or by score
 range -- with BID blocks always kept intact inside one shard.  Because
 distinct keys are independent in both models, each shard is itself a valid
-database of the same model, materializing its own and/xor tree and
-:class:`~repro.session.QuerySession`; exact global answers are recovered by
-the :class:`~repro.sharding.ShardedQuerySession` coordinator, which
-convolves the shards' partial rank generating functions.
+database of the same model.  A shard's state is columnar: a
+:class:`~repro.sharding.summary.ShardLayout` built straight from its
+partition units (keys, probabilities and scores in score order, block ids,
+one prefix table per truncation).  Exact global answers are recovered by the
+:class:`~repro.sharding.ShardedQuerySession` coordinator, which convolves
+the shards' partial rank generating functions; a shard's and/xor tree and
+:class:`~repro.session.QuerySession` are built from its units only when a
+tree consumer (general-model fallbacks, world sampling, clustering, the
+brute-force oracle) asks for them.
 
 Shards are the unit of cache invalidation: :meth:`ShardedDatabase.\
-update_tuple` / :meth:`ShardedDatabase.update_block` rebuild only the
-owning shard, bump its version and notify subscribers (the serving layer's
-invalidation fan-out); the other shards' memoized statistics stay warm.
+update_tuple` / :meth:`ShardedDatabase.update_block` derive the owning
+shard's next columns from its current ones -- a probability change copies
+the columns and replaces one entry, and the prefix tables are later swept
+forward only from the changed row -- then bump its version and notify
+subscribers (the serving layer's invalidation fan-out); the other shards'
+columns and tables stay warm.
 """
 
 from __future__ import annotations
@@ -32,10 +40,12 @@ from typing import (
     Union,
 )
 
+from repro.core.tuples import TupleAlternative
 from repro.exceptions import ModelError, ProbabilityError
 from repro.models.bid import BlockIndependentDatabase
 from repro.models.tuple_independent import TupleIndependentDatabase
 from repro.session import CacheInfo, QuerySession
+from repro.sharding.summary import ShardLayout, ShardRankSummary
 
 SourceDatabase = Union[TupleIndependentDatabase, BlockIndependentDatabase]
 #: A partition unit: one independent tuple or one intact BID block.
@@ -53,12 +63,11 @@ def hash_shard_of(key: Hashable, shard_count: int) -> int:
 def build_shard_database(
     name: str, index: int, units: Sequence[_Unit]
 ) -> SourceDatabase:
-    """Materialize one shard's database from its partition units.
+    """Materialize one shard's database (and tree) from its partition units.
 
-    Module-level (not a method) so shard worker processes can rebuild
-    their shard from pickled units without shipping the whole
-    :class:`ShardedDatabase`; the tuple-independent fast path is kept when
-    every unit is independent, otherwise blocks go through the BID model.
+    Only tree consumers need this -- queries read the shard's columns.
+    The tuple-independent model is kept when every unit is independent,
+    otherwise blocks go through the BID model.
     """
     if all(unit[0] == "independent" for unit in units):
         return TupleIndependentDatabase(
@@ -91,64 +100,225 @@ def build_shard_database(
     return BlockIndependentDatabase(blocks, name=f"{name}/shard{index}")
 
 
+class _ShardSession(QuerySession):
+    """A shard's tree session whose rank partials are the shard's columns.
+
+    Summaries are computed once per (shard, version, truncation): this
+    session hands out the columns' own summaries instead of extracting a
+    second copy from its tree, and reports their cache counters with its
+    own.
+    """
+
+    def __init__(self, state: "_ShardState") -> None:
+        super().__init__(state.database().tree)
+        self._state = state
+
+    def partial_rank_summary(self, max_rank: Optional[int] = None) -> Any:
+        if max_rank is None:
+            max_rank = self.number_of_tuples()
+        return self._state.layout().summary(max_rank)
+
+    def cache_info(self) -> CacheInfo:
+        info = super().cache_info()
+        layout = self._state._layout
+        return info if layout is None else info + layout.cache_info()
+
+
+class _ShardState:
+    """One generation of a shard: version, partition units and columns.
+
+    A committed update swaps the whole object, so a reader holding one
+    sees a version and the columns that belong to it together.  The
+    columns are built from the units on first use; the and/xor tree, its
+    database and session only when a tree consumer asks for them.
+    """
+
+    __slots__ = (
+        "name",
+        "index",
+        "version",
+        "units",
+        "_layout",
+        "_database",
+        "_session",
+        "_lock",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        index: int,
+        version: int,
+        units: List[_Unit],
+        layout: Optional[ShardLayout] = None,
+    ) -> None:
+        self.name = name
+        self.index = index
+        self.version = version
+        self.units = units
+        self._layout = layout
+        self._database: Optional[SourceDatabase] = None
+        self._session: Optional[_ShardSession] = None
+        self._lock = threading.Lock()
+
+    def layout(self) -> Optional[ShardLayout]:
+        """The shard's columns (None for an empty shard)."""
+        if self._layout is None and self.units:
+            with self._lock:
+                if self._layout is None:
+                    self._layout = ShardLayout.from_units(self.units)
+        return self._layout
+
+    def successor(
+        self, units: List[_Unit], layout: Optional[ShardLayout]
+    ) -> "_ShardState":
+        """The next generation, resuming this one's prefix tables."""
+        if layout is not None and self._layout is not None:
+            layout.adopt_tables(self._layout)
+        return _ShardState(
+            self.name, self.index, self.version + 1, units, layout
+        )
+
+    def database(self) -> Optional[SourceDatabase]:
+        if self._database is None and self.units:
+            with self._lock:
+                if self._database is None:
+                    self._database = build_shard_database(
+                        self.name, self.index, self.units
+                    )
+        return self._database
+
+    def session(self) -> Optional[QuerySession]:
+        if self._session is None and self.units:
+            session = _ShardSession(self)
+            with self._lock:
+                if self._session is None:
+                    self._session = session
+        return self._session
+
+    def alternatives_of(self, key: Hashable) -> List[TupleAlternative]:
+        return self.session().tree.alternatives_of(key)
+
+    def score_of(self, alternative: TupleAlternative) -> float:
+        return alternative.effective_score()
+
+    def layout_kind(self) -> str:
+        """``tuple-independent`` or ``bid``, read structurally off the units.
+
+        What :func:`~repro.query.planner.layout_of_tree` says of the
+        shard's tree, without building it (or needing scores).
+        """
+        for unit in self.units:
+            if unit[0] == "block" and len(unit[2]) > 1:
+                return "bid"
+        return "tuple-independent"
+
+    def cache_info(self) -> Optional[CacheInfo]:
+        """Counters of whatever this generation built (None if nothing)."""
+        if self._session is not None:
+            return self._session.cache_info()
+        if self._layout is not None:
+            return self._layout.cache_info()
+        return None
+
+
 class DatabaseShard:
-    """One shard: a sub-database plus its version and lazy query session."""
+    """One shard of a :class:`ShardedDatabase`: its current generation."""
 
-    __slots__ = ("index", "_units", "_database", "_session", "version", "_owner")
+    __slots__ = ("index", "_state", "_owner")
 
-    def __init__(self, owner: "ShardedDatabase", index: int) -> None:
+    def __init__(
+        self, owner: "ShardedDatabase", index: int, units: List[_Unit]
+    ) -> None:
         self._owner = owner
         self.index = index
-        self._units: List[_Unit] = []
-        self._database: Optional[SourceDatabase] = None
-        self._session: Optional[QuerySession] = None
-        self.version = 0
+        self._state = _ShardState(owner.name, index, 0, units)
+
+    @property
+    def version(self) -> int:
+        return self._state.version
 
     @property
     def is_empty(self) -> bool:
-        return not self._units
+        return not self._state.units
 
     @property
     def units(self) -> List[_Unit]:
         """The shard's (picklable) partition units, as assigned."""
-        return list(self._units)
+        return list(self._state.units)
 
     def keys(self) -> List[Hashable]:
-        return [unit[1] for unit in self._units]
+        return [unit[1] for unit in self._state.units]
+
+    def layout(self) -> Optional[ShardLayout]:
+        """The shard's columns (None for an empty shard)."""
+        return self._state.layout()
 
     @property
     def database(self) -> Optional[SourceDatabase]:
-        """The shard's own database (None for an empty shard)."""
-        if self._database is None and self._units:
-            self._database = self._owner._build_shard_database(
-                self.index, self._units
-            )
-        return self._database
+        """The shard's own database, built from its units on first use."""
+        return self._state.database()
 
     def session(self) -> Optional[QuerySession]:
-        """The shard's lazily created, version-tracked query session."""
-        database = self.database
-        if database is None:
-            return None
-        if self._session is None:
-            self._session = QuerySession(database.tree)
-        return self._session
+        """The shard's tree-backed query session, built on first use."""
+        return self._state.session()
 
-    def _replace_units(
-        self,
-        units: List[_Unit],
-        database: Optional[SourceDatabase] = None,
-    ) -> None:
-        self._units = units
-        self._database = database
-        self._session = None
-        self.version += 1
+    @property
+    def _session(self) -> Optional[QuerySession]:
+        return self._state._session
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"DatabaseShard(index={self.index}, tuples={len(self._units)}, "
-            f"version={self.version})"
+            f"DatabaseShard(index={self.index}, "
+            f"tuples={len(self._state.units)}, version={self.version})"
         )
+
+
+class LocalShards:
+    """The in-process shard provider: summaries off the parent's columns.
+
+    Same interface as :class:`~repro.sharding.procpool.ShardProcessPool`,
+    the provider of ``executor="processes"``, so the coordinator and the
+    serving executor read shards through one path whichever executor runs
+    them.
+    """
+
+    def __init__(self, database: "ShardedDatabase") -> None:
+        self._database = database
+
+    def layouts(self) -> List[Tuple[int, ShardLayout]]:
+        """``(shard_index, columns)`` per non-empty shard."""
+        return self._database.shard_layouts()
+
+    def summaries_with_tokens(
+        self, max_rank: int
+    ) -> List[Tuple[int, ShardRankSummary, Tuple[int, int]]]:
+        """``(shard_index, summary, (version, 0))`` per non-empty shard.
+
+        Version and columns come from one shard generation, so the token
+        identifies the summary's content.
+        """
+        rows = []
+        for shard in self._database.shards():
+            state = shard._state
+            layout = state.layout()
+            if layout is not None:
+                rows.append(
+                    (shard.index, layout.summary(max_rank), (state.version, 0))
+                )
+        return rows
+
+    def prefetch(self, truncations: Sequence[int]) -> None:
+        """Build every shard's summaries for a batch's truncations."""
+        for max_rank in sorted(set(truncations)):
+            self.summaries_with_tokens(max_rank)
+
+    def cached_summaries(
+        self, shard_index: int, version: int
+    ) -> Dict[int, ShardRankSummary]:
+        """Nothing to hand over: an archived generation keeps its columns,
+        and the summaries memoized on them."""
+        return {}
 
 
 class StaleUpdateError(ModelError):
@@ -160,22 +330,21 @@ class StaleUpdateError(ModelError):
 
 
 class PendingUpdate:
-    """A prepared shard rebuild, not yet applied.
+    """A prepared shard update, not yet applied.
 
-    Preparation builds the replacement unit list *and* the replacement
-    shard database (tree construction, the expensive part -- safe to run on
-    a shard worker thread); :meth:`ShardedDatabase.apply_update` is then a
-    version-bumping pointer swap that the serving executor serializes
-    against queries.  This split is what makes the serving layer's
-    invalidation graceful.
+    Carries the owning shard's replacement units and the replacement
+    columns derived from its current ones (a probability change copies the
+    columns and replaces one entry).  :meth:`ShardedDatabase.apply_update`
+    swaps both in together with the version bump; the prefix tables are
+    re-swept lazily, from the first changed row, when a query next asks.
     """
 
     __slots__ = (
         "shard_index",
         "key",
         "units",
+        "layout",
         "base_version",
-        "database",
         "removed_scores",
         "added_scores",
         "remote_ticket",
@@ -186,8 +355,8 @@ class PendingUpdate:
         shard_index: int,
         key: Hashable,
         units: List[_Unit],
+        layout: ShardLayout,
         base_version: int,
-        database: Optional[SourceDatabase],
         removed_scores: Tuple[float, ...] = (),
         added_scores: Tuple[float, ...] = (),
         remote_ticket: Optional[int] = None,
@@ -195,15 +364,15 @@ class PendingUpdate:
         self.shard_index = shard_index
         self.key = key
         self.units = units
+        self.layout = layout
         self.base_version = base_version
-        self.database = database
         # Distinct-score registry delta, applied (and re-validated) only by
         # apply_update: an abandoned prepared update must leave the
         # registry untouched.
         self.removed_scores = removed_scores
         self.added_scores = added_scores
-        # Ticket of the matching staged rebuild on the owning worker
-        # process (executor="processes" only): committed or aborted by
+        # Ticket of the same columns staged on the owning worker process
+        # (executor="processes" only): committed or aborted by
         # apply_update in lockstep with the parent-side version check.
         self.remote_ticket = remote_ticket
 
@@ -275,18 +444,18 @@ class ShardedDatabase:
         units = _extract_units(source)
         self._name = name or getattr(source, "name", "sharded")
         self._shard_of: Dict[Hashable, int] = {}
-        self._shards: List[DatabaseShard] = [
-            DatabaseShard(self, index) for index in range(shard_count)
-        ]
         self._subscribers: List[Callable[[int, Hashable], None]] = []
         self._coordinator: Optional[Any] = None
+        self._provider: Optional[LocalShards] = None
         assignments = self._assign(units, partitioner)
         per_shard: List[List[_Unit]] = [[] for _ in range(shard_count)]
         for unit, shard_index in zip(units, assignments):
             per_shard[shard_index].append(unit)
             self._shard_of[unit[1]] = shard_index
-        for shard, shard_units in zip(self._shards, per_shard):
-            shard._units = shard_units
+        self._shards: List[DatabaseShard] = [
+            DatabaseShard(self, index, shard_units)
+            for index, shard_units in enumerate(per_shard)
+        ]
         if validate_scores:
             self._check_distinct_scores(units)
 
@@ -341,11 +510,6 @@ class ShardedDatabase:
                     )
                 self._score_owner[score] = unit[1]
 
-    def _build_shard_database(
-        self, index: int, units: Sequence[_Unit]
-    ) -> SourceDatabase:
-        return build_shard_database(self._name, index, units)
-
     # ------------------------------------------------------------------
     # Accessors
     # ------------------------------------------------------------------
@@ -384,6 +548,33 @@ class ShardedDatabase:
             self._pool = ShardProcessPool(self, **self._executor_options)
             self._pool.start()
         return self._pool
+
+    def shard_provider(self) -> Any:
+        """Where the coordinator reads shard columns and summaries from.
+
+        The started :meth:`process_pool` under ``executor="processes"``,
+        otherwise the in-process :class:`LocalShards`; both expose
+        ``layouts()``, ``summaries_with_tokens()``, ``prefetch()`` and
+        ``cached_summaries()``.
+        """
+        if self._executor == "processes":
+            return self.process_pool()
+        if self._provider is None:
+            self._provider = LocalShards(self)
+        return self._provider
+
+    def shard_layouts(self) -> List[Tuple[int, ShardLayout]]:
+        """``(shard_index, columns)`` per non-empty shard.
+
+        The parent holds every shard's columns whichever executor runs the
+        shard, so reading them costs no worker round-trip.
+        """
+        out = []
+        for shard in self._shards:
+            layout = shard._state.layout()
+            if layout is not None:
+                out.append((shard.index, layout))
+        return out
 
     def close(self) -> None:
         """Release the worker processes, if any (idempotent)."""
@@ -456,16 +647,18 @@ class ShardedDatabase:
     def cache_info(self) -> CacheInfo:
         """Cache counters rolled up across every shard session.
 
-        A read-only snapshot: shards whose session was never created are
-        reported as zero without materializing their database or tree.
-        The coordinator's own merged-artifact counters are included when a
-        coordinator exists; per-shard figures are available via
-        ``shard.session().cache_info()``.
+        A read-only snapshot: shards whose columns were never built are
+        reported as zero without building them (or any tree).  Each shard
+        contributes its columns' summary counters (``rank_partials``) plus
+        its tree session's, if one exists; the coordinator's own
+        merged-artifact counters are included when a coordinator exists.
+        Per-shard figures are available via ``shard.session().cache_info()``.
         """
         info = CacheInfo()
         for shard in self._shards:
-            if shard._session is not None:
-                info = info + shard._session.cache_info()
+            shard_info = shard._state.cache_info()
+            if shard_info is not None:
+                info = info + shard_info
         if self._pool is not None and not self._pool.closed:
             # Remote roll-up: worker sessions' counters travel back as
             # picklable CacheInfo and add into the same total.
@@ -504,19 +697,15 @@ class ShardedDatabase:
         updates; use :meth:`prepare_block_update` for BID blocks.
         """
         shard_index = self.shard_of(key)
-        shard = self._shards[shard_index]
-        # Optimistic lock: stamp the version BEFORE snapshotting the unit
-        # list.  _replace_units rebinds the list after bumping the version,
-        # so a concurrent apply between the two reads can only make the
-        # stamp stale (caught by apply_update), never silently drop the
-        # other update's units.
-        base_version = shard.version
-        source_units = shard._units
+        # One generation read: version, units and columns belong together,
+        # so a concurrent apply can only make the stamp stale (caught by
+        # apply_update), never mix two generations.
+        state = self._shards[shard_index]._state
         units: List[_Unit] = []
-        found = False
+        replacement: Optional[_Unit] = None
         removed: Tuple[float, ...] = ()
         added: Tuple[float, ...] = ()
-        for unit in source_units:
+        for unit in state.units:
             if unit[1] != key:
                 units.append(unit)
                 continue
@@ -542,12 +731,12 @@ class ShardedDatabase:
                 # as the score (the common generator layout).
                 if old_score is None or value == old_score:
                     value = new_score
-            units.append(("independent", key, value, new_score, new_probability))
-            found = True
-        if not found:
+            replacement = ("independent", key, value, new_score, new_probability)
+            units.append(replacement)
+        if replacement is None:
             raise ModelError(f"unknown tuple key {key!r}")
         return self._stage_pending(
-            shard_index, key, units, base_version, removed, added
+            state, key, units, replacement, removed, added
         )
 
     def prepare_block_update(
@@ -557,82 +746,72 @@ class ShardedDatabase:
     ) -> PendingUpdate:
         """Build a BID block replacement: ``(value, score, probability)``s."""
         shard_index = self.shard_of(key)
-        shard = self._shards[shard_index]
-        base_version = shard.version  # before the unit snapshot, as above
-        source_units = shard._units
-        replacement = [
+        state = self._shards[shard_index]._state  # one generation, as above
+        block = [
             (value, None if score is None else float(score), float(probability))
             for value, score, probability in alternatives
         ]
         units: List[_Unit] = []
-        found = False
-        for unit in source_units:
+        old_unit: Optional[_Unit] = None
+        replacement: Optional[_Unit] = None
+        for unit in state.units:
             if unit[1] != key:
                 units.append(unit)
                 continue
-            found = True
+            old_unit = unit
             if unit[0] == "independent":
-                if len(replacement) != 1:
+                if len(block) != 1:
                     raise ModelError(
                         f"tuple {key!r} is tuple-independent; a replacement "
                         "block must hold exactly one alternative"
                     )
-                value, score, probability = replacement[0]
-                units.append(("independent", key, value, score, probability))
+                value, score, probability = block[0]
+                replacement = ("independent", key, value, score, probability)
             else:
-                units.append(("block", key, replacement))
-        if not found:
+                replacement = ("block", key, block)
+            units.append(replacement)
+        if old_unit is None or replacement is None:
             raise ModelError(f"unknown tuple key {key!r}")
         removed: Tuple[float, ...] = ()
         added: Tuple[float, ...] = ()
         if self._validate_scores:
-            old_unit = next(
-                unit for unit in source_units if unit[1] == key
-            )
-            added = tuple(_unit_scores(("block", key, replacement)))
+            added = tuple(_unit_scores(("block", key, block)))
             self._check_score_free(key, added)
             removed = tuple(_unit_scores(old_unit))
         return self._stage_pending(
-            shard_index, key, units, base_version, removed, added
+            state, key, units, replacement, removed, added
         )
 
     def _stage_pending(
         self,
-        shard_index: int,
+        state: "_ShardState",
         key: Hashable,
         units: List[_Unit],
-        base_version: int,
+        replacement: _Unit,
         removed: Tuple[float, ...],
         added: Tuple[float, ...],
     ) -> PendingUpdate:
-        """Run the expensive rebuild half of a prepared update.
+        """Derive the replacement columns of a prepared update.
 
-        Under ``executor="threads"`` the replacement shard database is
-        built here in-process; under ``executor="processes"`` the rebuild
-        is staged on the owning worker instead (ticketed), and the parent
-        keeps only the replacement units -- the worker's copy is swapped
-        in by :meth:`apply_update` under the same version check.
+        Under ``executor="processes"`` the same columns are also staged on
+        the owning worker (ticketed); :meth:`apply_update` commits them
+        there under the same version check that swaps them in here.
         """
+        layout = state.layout().replaced(units, key, replacement)
+        ticket = None
         if self._executor == "processes":
-            ticket = self.process_pool().prepare_replace(shard_index, units)
-            return PendingUpdate(
-                shard_index,
-                key,
-                units,
-                base_version,
-                None,
-                removed,
-                added,
-                remote_ticket=ticket,
+            ticket = self.process_pool().prepare_replace(
+                state.index, units, layout
             )
         return PendingUpdate(
-            shard_index,
+            state.index,
             key,
             units,
-            base_version,
-            self._build_shard_database(shard_index, units),
+            layout,
+            state.version,
             removed,
             added,
+            remote_ticket=ticket,
         )
 
     def _check_score_free(
@@ -650,11 +829,12 @@ class ShardedDatabase:
                 )
 
     def apply_update(self, pending: PendingUpdate) -> None:
-        """Swap a prepared shard rebuild in and fan the invalidation out.
+        """Swap a prepared update's columns in and fan the invalidation out.
 
-        Raises :class:`StaleUpdateError` when the shard's version changed
-        after the update was prepared (a concurrent update won the race);
-        the caller should re-prepare and retry.
+        The units, columns and version bump are published as one shard
+        generation.  Raises :class:`StaleUpdateError` when the shard's
+        version changed after the update was prepared (a concurrent update
+        won the race); the caller should re-prepare and retry.
         """
         with self._apply_lock:
             shard = self._shards[pending.shard_index]
@@ -664,8 +844,8 @@ class ShardedDatabase:
                     and self._pool is not None
                 ):
                     # Losing the race must also drop the worker-side staged
-                    # rebuild, or worker and parent units would diverge on
-                    # the next prepared update that does win.
+                    # columns, or worker and parent would diverge on the
+                    # next prepared update that does win.
                     self._pool.abort_replace(
                         pending.shard_index, pending.remote_ticket
                     )
@@ -694,12 +874,13 @@ class ShardedDatabase:
             if pending.remote_ticket is not None:
                 # Commit on the worker BEFORE the parent swap: a worker
                 # crash here raises and leaves the parent at the old
-                # version, so parent and (rebuilt) workers never disagree
-                # about state.
+                # version, so parent and workers never disagree about state.
                 self.process_pool().commit_replace(
                     pending.shard_index, pending.remote_ticket
                 )
-            shard._replace_units(pending.units, pending.database)
+            shard._state = shard._state.successor(
+                pending.units, pending.layout
+            )
         self._notify(pending.shard_index, pending.key)
 
     def _archive_current(self, shard: DatabaseShard) -> None:
@@ -715,8 +896,9 @@ class ShardedDatabase:
     ) -> None:
         """Update one independent tuple's probability and/or score.
 
-        Rebuilds only the owning shard, bumps its version (invalidating the
-        coordinator's merged artifacts lazily) and notifies subscribers.
+        Derives only the owning shard's next columns, bumps its version
+        (invalidating the coordinator's merged artifacts lazily) and
+        notifies subscribers.
         """
         self.apply_update(self.prepare_update(key, probability, score))
 
@@ -729,17 +911,17 @@ class ShardedDatabase:
         self.apply_update(self.prepare_block_update(key, alternatives))
 
     def invalidate_shard(self, index: int) -> None:
-        """Force-drop one shard's session and bump its version."""
+        """Force-drop one shard's columns, tables and session; bump its version."""
         shard = self._shards[index]
         with self._apply_lock:
             self._archive_current(shard)
-            shard._replace_units(list(shard._units))
+            shard._state = shard._state.successor(shard.units, None)
             if self._pool is not None and not self._pool.closed:
                 self._pool.invalidate(index)
         self._notify(index, None)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        sizes = [len(shard._units) for shard in self._shards]
+        sizes = [len(shard._state.units) for shard in self._shards]
         return (
             f"ShardedDatabase({self._name!r}, shards={sizes}, "
             f"partitioner={self._partitioner_name!r})"

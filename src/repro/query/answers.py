@@ -11,7 +11,7 @@ interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional, Tuple
 
 
@@ -46,7 +46,13 @@ class QueryAnswer:
     query:
         The :class:`~repro.query.ConsensusQuery` that was executed.
     plan:
-        The :class:`~repro.query.ExecutionPlan` that produced the value.
+        The :class:`~repro.query.ExecutionPlan` that produced the value,
+        or its :class:`PlanSummary` -- for answers decoded from the wire
+        and for answers held by a cache (the
+        :class:`~repro.query.ResultCache`, the serving executor's
+        stale-answer store), which keep only :meth:`detached` copies so a
+        cached answer never pins the superseded session state a full plan
+        closes over.
     elapsed:
         Wall-clock execution time in seconds.
     backend / deployment:
@@ -87,6 +93,23 @@ class QueryAnswer:
     stale: bool = False
     degraded: bool = False
     cached: bool = False
+
+    def detached(self) -> "QueryAnswer":
+        """This answer with its plan reduced to a :class:`PlanSummary`.
+
+        Value, objective and provenance are unchanged; the copy no longer
+        references the answering session, so holding it keeps no session,
+        shard generation or memoized artifact alive.
+        """
+        plan = self.plan
+        if plan is None or isinstance(plan, PlanSummary):
+            return self
+        return replace(
+            self,
+            plan=PlanSummary(
+                plan.route, plan.algorithm, bool(plan.paired), plan.hardness
+            ),
+        )
 
     @property
     def answer(self) -> Any:

@@ -56,6 +56,11 @@ class ResultCacheStats:
 class ResultCache:
     """A bounded, thread-safe LRU of completed :class:`QueryAnswer`\\ s.
 
+    Its writers store :meth:`~repro.query.QueryAnswer.detached` answers,
+    whose plan is a :class:`~repro.query.PlanSummary`: an entry keeps its
+    value and provenance but no session, so the cache never pins
+    superseded state.
+
     Parameters
     ----------
     capacity:

@@ -8,14 +8,17 @@ cross-shard coordinator session:
   is still in flight (same request, same shard generation) share one
   computation and one result future.
 * **Micro-batching** -- queued requests are drained into batches; each batch
-  first pre-warms the per-shard partial summaries *concurrently* on the
-  per-shard worker pool, then answers every request on the coordinator
-  worker, so batch members share the freshly merged artifacts.
-* **Graceful invalidation fan-out** -- updates rebuild only the owning
-  shard on that shard's worker (tree construction off the event loop and
-  off the query path), then the version-bumping swap is serialized with
-  queries on the coordinator worker; the coordinator notices the version
-  change lazily and re-merges from the unchanged shards' warm summaries.
+  first pre-warms the per-shard partial summaries through the database's
+  shard provider (off each shard's columns in-process, fanned out across
+  the worker processes under ``executor="processes"``), then answers every
+  request on the coordinator worker, so batch members share the freshly
+  merged artifacts.
+* **Graceful invalidation fan-out** -- an update derives only the owning
+  shard's next columns on that shard's worker (off the event loop and off
+  the query path) and swaps them in with the version bump; the coordinator
+  notices the version change lazily and re-merges from the unchanged
+  shards' warm summaries, re-sweeping the updated shard's prefix tables
+  only from the changed row.
 * **Instrumentation** -- per-request latency quantiles, batch sizes,
   coalescing and invalidation counters (:meth:`ServingExecutor.metrics`).
 * **Self-healing** -- per-query deadlines (``deadline_ms`` ->
@@ -131,8 +134,8 @@ class ServingExecutor:
     max_batch_size:
         Upper bound on one micro-batch.
     warm_shards:
-        Pre-compute the per-shard partial summaries of a batch concurrently
-        on the per-shard workers before merging.
+        Pre-compute the per-shard partial summaries of a batch through the
+        database's shard provider before merging.
     deadline_ms:
         Default per-query deadline in milliseconds (``None`` = none).  A
         query that misses it raises
@@ -544,10 +547,10 @@ class ServingExecutor:
         probability: Optional[float] = None,
         score: Optional[float] = None,
     ) -> None:
-        """Update one tuple; only its shard is rebuilt and invalidated.
+        """Update one tuple; only its shard's columns change.
 
-        Both the rebuild (tree construction) and the version-bumping swap
-        run on the owning shard's worker: snapshot-pinned reads make the
+        Both the column derivation and the version-bumping swap run on
+        the owning shard's worker: snapshot-pinned reads make the
         swap safe against in-flight queries, so updates no longer wait
         behind the coordinator worker's merge queue.  Retries
         transparently if a concurrent update to the same shard wins the
@@ -915,7 +918,7 @@ class ServingExecutor:
                     # fallback answered at *newer* state than the key's
                     # version token, and stale/degraded answers belong to
                     # the self-healing ladder, not the cache.
-                    self._result_cache.put(cache_key, result)
+                    self._result_cache.put(cache_key, result.detached())
                 return result
 
     async def _run_pinned(
@@ -951,7 +954,7 @@ class ServingExecutor:
 
     def _cache_answer(self, query: ConsensusQuery, answer: QueryAnswer) -> None:
         cache = self._last_answers
-        cache[query] = (answer, time.monotonic())
+        cache[query] = (answer.detached(), time.monotonic())
         cache.move_to_end(query)
         while len(cache) > _LAST_ANSWER_CAP:
             cache.popitem(last=False)
@@ -1057,30 +1060,16 @@ class ServingExecutor:
         )
         if not truncations:
             return
-        if self._process_pool is not None and not self._process_pool.closed:
-            # One prefetch call fans out across the worker processes
-            # in parallel and leaves the partials in the pool's
-            # version-keyed cache for the merge to pick up.
-            await loop.run_in_executor(
-                self._merge_pool, self._process_pool.prefetch, truncations
-            )
-            return
-        tasks = []
-        for shard in self._database.shards():
-            session = shard.session()
-            if session is None:
-                continue
-            pool = self._shard_pools[shard.index]
-            for rank in truncations:
-                tasks.append(
-                    loop.run_in_executor(
-                        pool, session.partial_rank_summary, rank
-                    )
-                )
-        if tasks:
-            # Summary failures are not fatal here: the merge recomputes
-            # them (and reports errors) on the query path.
-            await asyncio.gather(*tasks, return_exceptions=True)
+        # One prefetch through the database's shard provider: in-process
+        # it builds the summaries off each shard's columns; under
+        # executor="processes" it fans out across the worker processes and
+        # leaves the partials in the pool's version-keyed cache.  Either
+        # way the merge picks them up, and no shard tree is built.
+        await loop.run_in_executor(
+            self._merge_pool,
+            self._database.shard_provider().prefetch,
+            truncations,
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

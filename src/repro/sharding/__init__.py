@@ -9,8 +9,10 @@ distributions.  This package exploits that factorization:
 * :class:`~repro.sharding.summary.ShardRankSummary` -- the partial
   (truncated) univariate generating functions one shard exports: for every
   score threshold, the distribution of the number of present tuples above
-  it, plus the per-alternative local layout.  Built and memoized per shard
-  via :meth:`repro.session.QuerySession.partial_rank_summary`.
+  it, plus the per-alternative local layout.  Memoized per truncation on
+  the shard's columnar :class:`~repro.sharding.summary.ShardLayout` (or,
+  for a standalone session, via
+  :meth:`repro.session.QuerySession.partial_rank_summary`).
 * :class:`~repro.sharding.coordinator.ShardedQuerySession` -- a
   :class:`~repro.session.QuerySession` drop-in whose statistics artifacts
   (rank matrix, Top-k membership, pairwise preference grid, expected ranks)
@@ -22,7 +24,7 @@ distributions.  This package exploits that factorization:
   execution of the same protocol: one worker process per shard, supervised
   by :class:`~repro.sharding.supervisor.WorkerSupervisor` (crashed or
   wedged workers restart with backoff and their staged-but-uncommitted
-  rebuilds replay or abort cleanly), with a deterministic fault-injection
+  updates replay or abort cleanly), with a deterministic fault-injection
   harness in :mod:`repro.sharding.faults` for chaos testing.
 """
 

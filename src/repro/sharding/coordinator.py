@@ -34,6 +34,14 @@ Two properties make the coordinator honest under sustained mixed traffic:
   so in-flight readers keep answering from their pinned snapshot without
   blocking or racing the writer; a reader whose vector has been evicted
   raises :class:`~repro.exceptions.SnapshotTooOldError`.
+
+Over a :class:`~repro.models.sharded.ShardedDatabase` the coordinator reads
+shards through one path whichever executor runs them: the columns come
+from the database (the parent holds every shard's columns), summaries
+from its shard provider -- :class:`~repro.models.sharded.LocalShards`
+in-process, the :class:`~repro.sharding.procpool.ShardProcessPool` under
+``executor="processes"``.  Shard trees are built only for the tree-level
+fallbacks (:attr:`ShardedQuerySession.tree`, world sampling, ...).
 """
 
 from __future__ import annotations
@@ -50,7 +58,7 @@ from repro.engine import PairwisePreferenceMatrix, RankMatrix, get_backend
 from repro.exceptions import ModelError, SnapshotTooOldError
 from repro.session import QuerySession, as_session
 from repro.sharding.merge import MergeEngine, MergeStatsSnapshot
-from repro.sharding.summary import ShardRankSummary, shard_layout
+from repro.sharding.summary import ShardLayout, ShardRankSummary, shard_layout
 
 
 class _MergedLayout:
@@ -63,7 +71,7 @@ class _MergedLayout:
         "best_score",
         "triples",
         "independent",
-        "key_to_session",
+        "key_to_source",
         "grid_scores",
     )
 
@@ -75,7 +83,7 @@ class _MergedLayout:
         best_score: Dict[Hashable, float],
         triples: List[Tuple[float, float, Hashable]],
         independent: bool,
-        key_to_session: Dict[Hashable, QuerySession],
+        key_to_source: Dict[Hashable, Any],
         grid_scores: List[float],
     ) -> None:
         self.keys_order = keys_order
@@ -84,7 +92,7 @@ class _MergedLayout:
         self.best_score = best_score
         self.triples = triples
         self.independent = independent
-        self.key_to_session = key_to_session
+        self.key_to_source = key_to_source
         self.grid_scores = grid_scores
 
 
@@ -105,58 +113,30 @@ class _VersionEntry:
 
 
 class _ShardArchive:
-    """One shard's frozen state at a historical version.
+    """One shard's frozen generation at a historical version.
 
     Created by the owning database right before an update swaps the
-    shard's units, so readers pinned at the outgoing version can still
-    resolve it.  Whatever warm artifacts exist at archive time -- the live
-    session on the in-process path, the pool's cached layout and summaries
-    on the process path -- are adopted; anything missing is rebuilt lazily
-    from the archived units.
+    shard's generation, so readers pinned at the outgoing version can
+    still resolve it: the generation keeps its columns (and their
+    memoized summaries) and its units, for a tree consumer; the summaries
+    the shard provider had already fetched for that version are adopted
+    too.
     """
 
-    __slots__ = (
-        "index",
-        "version",
-        "units",
-        "owner",
-        "_session",
-        "_fragment",
-        "_summaries",
-    )
+    __slots__ = ("index", "version", "state", "_summaries")
 
-    def __init__(self, shard: Any) -> None:
+    def __init__(
+        self, shard: Any, summaries: Dict[int, ShardRankSummary]
+    ) -> None:
+        self.state = shard._state
         self.index = shard.index
-        self.version = shard.version
-        self.units = shard.units  # a copy, by DatabaseShard contract
-        self.owner = shard._owner
-        self._session: Optional[QuerySession] = None
-        self._fragment: Optional[Any] = None
-        self._summaries: Dict[int, ShardRankSummary] = {}
-
-    def session(self) -> Optional[QuerySession]:
-        """The archived shard session (rebuilt from units when cold)."""
-        if self._session is None and self.units:
-            database = self.owner._build_shard_database(
-                self.index, self.units
-            )
-            self._session = QuerySession(database.tree)
-        return self._session
-
-    def layout_fragment(self) -> Optional[Any]:
-        if self._fragment is None and self.units:
-            self._fragment = shard_layout(self.session())
-        return self._fragment
+        self.version = self.state.version
+        self._summaries = dict(summaries)
 
     def summary(self, max_rank: int) -> ShardRankSummary:
         cached = self._summaries.get(max_rank)
         if cached is None:
-            if self._session is not None or self._fragment is None:
-                cached = self.session().partial_rank_summary(max_rank)
-            else:
-                cached = ShardRankSummary.from_layout(
-                    self._fragment, max_rank
-                )
+            cached = self.state.layout().summary(max_rank)
             self._summaries[max_rank] = cached
         return cached
 
@@ -238,46 +218,27 @@ class ShardedQuerySession(QuerySession):
         assert self._static_sessions is not None
         return self._static_sessions
 
-    def _process_pool(self) -> Optional[Any]:
-        """The database's started worker pool under ``executor="processes"``.
+    def _provider(self) -> Any:
+        """The database's shard provider (local columns or worker pool)."""
+        return self._database.shard_provider()
 
-        ``None`` in every other configuration; when a pool is live the
-        coordinator must not touch :meth:`_shard_sessions` on its merge
-        paths -- that would rebuild every shard in the parent process and
-        forfeit exactly the work the pool moved out.
+    def _shard_fragments(self) -> List[Tuple[ShardLayout, Any]]:
+        """``(columns, source)`` per non-empty shard.
+
+        The source answers :meth:`score_of` / :meth:`alternatives_of` for
+        the shard's keys: the shard's current generation for a database,
+        the session itself for static sources.
         """
-        if (
-            self._database is not None
-            and getattr(self._database, "executor", "threads") == "processes"
-        ):
-            return self._database.process_pool()
-        return None
-
-    def _shard_fragments(self) -> List[Tuple[Any, Any]]:
-        """``(layout_fragment, session_provider)`` per non-empty shard.
-
-        The provider is a live :class:`~repro.session.QuerySession` on the
-        in-process path, or the owning
-        :class:`~repro.models.sharded.DatabaseShard` on the process-pool
-        path (resolved lazily -- and only -- by the tree-level fallbacks).
-        """
-        pool = self._process_pool()
-        if pool is not None:
+        if self._database is not None:
             shards = self._database.shards()
             return [
-                (fragment, shards[index])
-                for index, fragment in pool.layouts()
+                (layout, shards[index]._state)
+                for index, layout in self._provider().layouts()
             ]
         return [
             (shard_layout(session), session)
             for session in self._shard_sessions()
         ]
-
-    @staticmethod
-    def _resolve_session(provider: Any) -> QuerySession:
-        if isinstance(provider, QuerySession):
-            return provider
-        return provider.session()
 
     @property
     def shard_count(self) -> int:
@@ -297,18 +258,14 @@ class ShardedQuerySession(QuerySession):
         """Model layout, read off a shard (never off the merged tree).
 
         All shards of one database share a layout by construction, so the
-        first shard session answers for the whole coordinator without
-        materializing the merged tree.
+        first non-empty shard answers for the whole coordinator -- from
+        its units, without building its columns or its tree.
         """
-        if self._process_pool() is not None:
-            fragments = self._shard_fragments()
-            if not fragments:
-                return "general"
-            # Shard layouts are TI or BID by construction (anything else
-            # is rejected at extraction time on the worker).
-            return (
-                "tuple-independent" if fragments[0][0].independent else "bid"
-            )
+        if self._database is not None:
+            for shard in self._database.shards():
+                if not shard.is_empty:
+                    return shard._state.layout_kind()
+            return "general"
         sessions = self._shard_sessions()
         if not sessions:
             return "general"
@@ -316,17 +273,13 @@ class ShardedQuerySession(QuerySession):
 
     def _current_versions(self) -> Tuple[Any, ...]:
         if self._database is not None:
-            shard_versions: Tuple[Any, ...] = tuple(self._database.versions())
-        else:
-            shard_versions = ()
-        if self._process_pool() is not None:
-            # Worker sessions live behind the pool; the shard versions
-            # (bumped by every committed update) are the whole signal.
-            return (shard_versions, ())
+            # A shard's columns are swapped with its version, so the
+            # version vector is the whole signal.
+            return (tuple(self._database.versions()), ())
         generations = tuple(
             session.generation for session in self._shard_sessions()
         )
-        return (shard_versions, generations)
+        return ((), generations)
 
     # ------------------------------------------------------------------
     # Version store (MVCC)
@@ -480,29 +433,16 @@ class ShardedQuerySession(QuerySession):
         return SnapshotReader(self, versions)
 
     def _archive_shard(self, shard: Any) -> None:
-        """Archive a shard's state just before its version is bumped.
+        """Archive a shard's generation just before its version is bumped.
 
-        Called by the owning database with the *outgoing* state still
-        live, so pinned readers that resolve the old version find either
-        the warm session (in-process path) or the pool's cached layout
-        and summaries (process path) -- worst case the raw units.
+        Called by the owning database with the *outgoing* generation still
+        live, so pinned readers that resolve the old version find its
+        columns with their summaries, plus whatever the shard provider
+        already fetched for that version.
         """
-        archive = _ShardArchive(shard)
-        pool = None
-        if (
-            self._database is not None
-            and getattr(self._database, "executor", "threads") == "processes"
-        ):
-            pool = getattr(self._database, "_pool", None)
-            if pool is not None and getattr(pool, "closed", False):
-                pool = None
-        if pool is not None:
-            archive._fragment = pool.cached_layout(shard.index)
-            archive._summaries = pool.cached_summaries(shard.index)
-        else:
-            session = shard._session
-            if session is not None:
-                archive._session = session
+        archive = _ShardArchive(
+            shard, self._provider().cached_summaries(shard.index, shard.version)
+        )
         with self._state_lock:
             history = self._history.setdefault(shard.index, OrderedDict())
             history[shard.version] = archive
@@ -532,32 +472,17 @@ class ShardedQuerySession(QuerySession):
         """Per-shard summaries plus content-faithful version tokens.
 
         The tokens key the merge engine's cached partial products, so a
-        token may only repeat when the summary content is identical.  On
-        the process path the worker's own state counter is authoritative
-        (it changes atomically with the worker's committed state); on the
-        in-process path the (version, generation) pair is re-checked after
-        the summary is built so a concurrent swap cannot mislabel it.
+        token may only repeat when the summary content is identical: the
+        shard provider pairs each summary with the version of the shard
+        generation it was built from (and, on the process path, the
+        worker's committed state id shipped in the same reply).
         """
-        pool = self._process_pool()
-        if pool is not None:
-            rows = pool.summaries_with_tokens(max_rank)
+        if self._database is not None:
+            rows = self._provider().summaries_with_tokens(max_rank)
             return [row[1] for row in rows], [row[2] for row in rows]
+        assert self._static_sessions is not None
         summaries: List[ShardRankSummary] = []
         tokens: List[Any] = []
-        if self._database is not None:
-            for shard in self._database.shards():
-                if shard.is_empty:
-                    continue
-                for _ in range(8):
-                    version = shard.version
-                    session = shard.session()
-                    summary = session.partial_rank_summary(max_rank)
-                    if shard.version == version and shard._session is session:
-                        break
-                summaries.append(summary)
-                tokens.append((version, session.generation))
-            return summaries, tokens
-        assert self._static_sessions is not None
         for index, session in enumerate(self._static_sessions):
             summaries.append(session.partial_rank_summary(max_rank))
             tokens.append((index, session.generation))
@@ -634,7 +559,7 @@ class ShardedQuerySession(QuerySession):
             previous.best_score,
             triples,
             previous.independent,
-            previous.key_to_session,
+            previous.key_to_source,
             previous.grid_scores,
         )
 
@@ -647,7 +572,7 @@ class ShardedQuerySession(QuerySession):
         presence: Dict[Hashable, float] = {}
         alternatives: Dict[Hashable, List[Tuple[float, float]]] = {}
         best_score: Dict[Hashable, float] = {}
-        key_to_session: Dict[Hashable, Any] = {}
+        key_to_source: Dict[Hashable, Any] = {}
         independent = True
         per_shard_triples: List[List[Tuple[float, float, Hashable]]] = []
         total = 0
@@ -661,7 +586,7 @@ class ShardedQuerySession(QuerySession):
             presence.update(fragment.presence)
             alternatives.update(fragment.alternatives)
             best_score.update(fragment.best_score)
-            key_to_session.update(
+            key_to_source.update(
                 dict.fromkeys(fragment.keys, provider)
             )
             total += len(fragment.keys)
@@ -711,7 +636,7 @@ class ShardedQuerySession(QuerySession):
                 best_score,
                 triples,
                 independent,
-                key_to_session,
+                key_to_source,
                 [score for score, _, _ in triples],
             ),
         )
@@ -759,17 +684,17 @@ class ShardedQuerySession(QuerySession):
     def number_of_tuples(self) -> int:
         return len(self._layout().keys_order)
 
+    def _source_of(self, key: Hashable) -> Any:
+        source = self._layout().key_to_source.get(key)
+        if source is None:
+            raise ModelError(f"unknown tuple key {key!r}")
+        return source
+
     def score_of(self, alternative: TupleAlternative) -> float:
-        provider = self._layout().key_to_session.get(alternative.key)
-        if provider is None:
-            raise ModelError(f"unknown tuple key {alternative.key!r}")
-        return self._resolve_session(provider).score_of(alternative)
+        return self._source_of(alternative.key).score_of(alternative)
 
     def alternatives_of(self, key: Hashable) -> List[TupleAlternative]:
-        provider = self._layout().key_to_session.get(key)
-        if provider is None:
-            raise ModelError(f"unknown tuple key {key!r}")
-        return self._resolve_session(provider).tree.alternatives_of(key)
+        return self._source_of(key).alternatives_of(key)
 
     def best_scores(
         self, keys: Sequence[Hashable]
@@ -828,15 +753,6 @@ class ShardedQuerySession(QuerySession):
                 tokens.append(token)
         if not summaries:
             return RankMatrix([], backend.matrix_from_rows([]), backend, max_rank)
-        if len(summaries) == 1 and self._process_pool() is None:
-            # A single shard needs no merging; serve its own (memoized)
-            # matrix so the coordinator adds zero overhead.  (On the pool
-            # path the shard session lives in a worker, so the merge below
-            # runs from the shipped summary instead.)
-            only = self._shard_sessions()
-            for session in only:
-                if session.number_of_tuples() > 0:
-                    return session.rank_matrix(max_rank)
         if self._merge_mode == "incremental":
             keys, native = self._engine.merge(
                 summaries,
@@ -1155,34 +1071,33 @@ class SnapshotReader(ShardedQuerySession):
         return self._parent.at(versions)
 
     # -- pinned shard resolution ---------------------------------------
-    def _shard_fragments(self) -> List[Tuple[Any, Any]]:
+    def _pinned_generation(self, shard: Any) -> Tuple[Any, Any]:
+        """``(generation, archive)`` of one shard at the pinned version.
+
+        The live generation (archive ``None``) while the shard has not
+        moved on, else the archived one; raises
+        :class:`~repro.exceptions.SnapshotTooOldError` once that version
+        left the bounded history.
+        """
+        pinned = self._pinned[shard.index]
+        state = shard._state
+        if state.version == pinned:
+            return state, None
+        archive = self._parent._archive_lookup(shard.index, pinned)
+        return archive.state, archive
+
+    def _shard_fragments(self) -> List[Tuple[ShardLayout, Any]]:
         if self._database is None:
             self._require_live_static()
             return ShardedQuerySession._shard_fragments(self)
         if self._live():
             return ShardedQuerySession._shard_fragments(self)
-        pool = self._process_pool()
-        live_fragments: Dict[int, Any] = (
-            dict(pool.layouts()) if pool is not None else {}
-        )
-        fragments: List[Tuple[Any, Any]] = []
+        fragments: List[Tuple[ShardLayout, Any]] = []
         for shard in self._database.shards():
-            pinned = self._pinned[shard.index]
-            if shard.version == pinned:
-                if pool is not None:
-                    if shard.index in live_fragments:
-                        fragments.append(
-                            (live_fragments[shard.index], shard)
-                        )
-                elif not shard.is_empty:
-                    session = shard.session()
-                    fragments.append((shard_layout(session), session))
-            else:
-                archive = self._parent._archive_lookup(shard.index, pinned)
-                if archive.units:
-                    fragments.append(
-                        (archive.layout_fragment(), archive)
-                    )
+            state, _ = self._pinned_generation(shard)
+            layout = state.layout()
+            if layout is not None:
+                fragments.append((layout, state))
         return fragments
 
     def _shard_sessions(self) -> List[QuerySession]:
@@ -1193,14 +1108,10 @@ class SnapshotReader(ShardedQuerySession):
             return ShardedQuerySession._shard_sessions(self)
         sessions: List[QuerySession] = []
         for shard in self._database.shards():
-            pinned = self._pinned[shard.index]
-            if shard.version == pinned:
-                if not shard.is_empty:
-                    sessions.append(shard.session())
-            else:
-                archive = self._parent._archive_lookup(shard.index, pinned)
-                if archive.units:
-                    sessions.append(archive.session())
+            state, _ = self._pinned_generation(shard)
+            session = state.session()
+            if session is not None:
+                sessions.append(session)
         return sessions
 
     def _summaries_and_tokens(
@@ -1211,36 +1122,30 @@ class SnapshotReader(ShardedQuerySession):
             return ShardedQuerySession._summaries_and_tokens(self, max_rank)
         if self._live():
             return ShardedQuerySession._summaries_and_tokens(self, max_rank)
-        pool = self._process_pool()
-        live_rows: Dict[int, Tuple[Any, Any]] = {}
-        if pool is not None:
-            live_rows = {
-                index: (summary, token)
-                for index, summary, token in pool.summaries_with_tokens(
-                    max_rank
-                )
-            }
+        live = {
+            index: (summary, token)
+            for index, summary, token in self._provider().summaries_with_tokens(
+                max_rank
+            )
+        }
         summaries: List[ShardRankSummary] = []
         tokens: List[Any] = []
         for shard in self._database.shards():
             pinned = self._pinned[shard.index]
-            if shard.version == pinned:
-                if pool is not None:
-                    if shard.index in live_rows:
-                        summary, token = live_rows[shard.index]
-                        summaries.append(summary)
-                        tokens.append(token)
-                elif not shard.is_empty:
-                    session = shard.session()
-                    summaries.append(
-                        session.partial_rank_summary(max_rank)
-                    )
-                    tokens.append((shard.version, session.generation))
-            else:
-                archive = self._parent._archive_lookup(shard.index, pinned)
-                if archive.units:
-                    summaries.append(archive.summary(max_rank))
-                    tokens.append(("archive", shard.index, pinned))
+            row = live.get(shard.index)
+            if row is not None and row[1][0] == pinned:
+                summaries.append(row[0])
+                tokens.append(row[1])
+                continue
+            state, archive = self._pinned_generation(shard)
+            if not state.units:
+                continue
+            summaries.append(
+                archive.summary(max_rank)
+                if archive is not None
+                else state.layout().summary(max_rank)
+            )
+            tokens.append(("archive", shard.index, pinned))
         return summaries, tokens
 
     def _merged_rank_matrix(self, max_rank: int) -> RankMatrix:

@@ -1,35 +1,37 @@
 """Process-backed shard execution: the parent-side worker pool.
 
-The per-shard kernels behind every merged statistic -- layout extraction,
-the ``(n_s + 1) × k`` prefix polynomial sweep, shard tree rebuilds -- are
-dense array work that one interpreter serializes behind the GIL no matter
-how many shard *threads* structure it.  :class:`ShardProcessPool` moves
-that work into real processes: each worker
-(:mod:`repro.sharding.procworker`) owns one shard's database plus a warm
-:class:`~repro.session.QuerySession`, and the coordinator exchanges only
-compact partials with it:
+The per-shard kernels behind every merged statistic -- above all the
+``(n_s + 1) × k`` prefix polynomial sweep -- are dense array work that one
+interpreter serializes behind the GIL no matter how many shard *threads*
+structure it.  :class:`ShardProcessPool` moves that work into real
+processes: each worker (:mod:`repro.sharding.procworker`) owns one shard's
+columnar :class:`~repro.sharding.summary.ShardLayout` -- the same columns
+the parent keeps -- and the coordinator exchanges only compact partials
+with it:
 
-* :class:`~repro.sharding.summary.ShardLayout` fragments and truncated
-  :class:`~repro.sharding.summary.ShardRankSummary` tables, fetched in
-  parallel across workers (threads blocked on pipes release the GIL, so
-  worker processes compute concurrently);
+* truncated :class:`~repro.sharding.summary.ShardRankSummary` tables,
+  fetched in parallel across workers (threads blocked on pipes release the
+  GIL, so worker processes compute concurrently);
 * a shared-memory fast path (``multiprocessing.shared_memory``) for the
   dense numpy prefix tables, so large partials cross the process boundary
   as one memcpy instead of a pickle round-trip;
-* staged ``prepare`` / ``commit`` / ``abort`` rebuilds implementing the
-  version-checked update swap of
+* staged ``prepare`` / ``commit`` / ``abort`` column swaps implementing
+  the version-checked update of
   :meth:`repro.models.sharded.ShardedDatabase.apply_update` across process
   boundaries (the parent stays the sole authority over shard versions).
 
-Summaries and layouts are cached parent-side keyed by the owning shard's
-version, so after one shard's update only that shard's partials are
-re-fetched -- the exact analogue of the warm in-process shard sessions.
+The pool is the coordinator's shard provider under
+``executor="processes"`` (the in-process one is
+:class:`~repro.models.sharded.LocalShards`): :meth:`ShardProcessPool.\
+layouts` serves the parent's own columns, and summaries are cached
+parent-side keyed by the owning shard's version, so after one shard's
+update only that shard's partials are re-fetched.
 
 Worker death is detected (pipe poll + liveness checks) and, by default,
 **supervised**: the pool respawns the dead worker from the shard's last
 committed units under a :class:`~repro.sharding.supervisor.WorkerSupervisor`
 budget (exponential backoff + jitter), transparently retries idempotent
-requests on the fresh worker, replays a staged-but-uncommitted rebuild
+requests on the fresh worker, replays a staged-but-uncommitted update
 whose commit raced the crash, and drops only the dead shard's parent-side
 cache entries so the other shards' version-keyed partials survive the
 restart.  When the restart budget is spent (or ``supervise=False``) the
@@ -84,8 +86,7 @@ _REMOTE_EXCEPTIONS = (
 #: (its replay needs the staged units, handled in ``commit_replace``),
 #: and the test hooks (``exit-now``, ``stall``) must never self-heal.
 _RETRYABLE_OPS = frozenset(
-    {"layout", "summary", "cache_info", "stats", "ping", "prepare",
-     "invalidate"}
+    {"summary", "cache_info", "stats", "ping", "prepare", "invalidate"}
 )
 
 #: Cap on restart-and-retry cycles within one request (the supervisor's
@@ -115,13 +116,12 @@ class IpcSnapshot:
     """Counters of the parent <-> worker exchanges at one instant.
 
     ``pipe_bytes`` / ``shm_bytes`` count the dense prefix-table payloads
-    (8 bytes per coefficient); command envelopes and layouts are tallied
-    in ``commands`` / ``layouts`` without a byte estimate.
+    (8 bytes per coefficient); command envelopes are tallied in
+    ``commands`` without a byte estimate.
     """
 
     commands: int = 0
     summaries: int = 0
-    layouts: int = 0
     pipe_messages: int = 0
     shm_messages: int = 0
     pipe_bytes: int = 0
@@ -143,7 +143,6 @@ class IpcSnapshot:
         return IpcSnapshot(
             commands=self.commands - other.commands,
             summaries=self.summaries - other.summaries,
-            layouts=self.layouts - other.layouts,
             pipe_messages=self.pipe_messages - other.pipe_messages,
             shm_messages=self.shm_messages - other.shm_messages,
             pipe_bytes=self.pipe_bytes - other.pipe_bytes,
@@ -257,18 +256,18 @@ class ShardProcessPool:
         self._restart_locks: Dict[int, threading.Lock] = {}
         self._gather: Optional[ThreadPoolExecutor] = None
         self._tickets = itertools.count(1)
-        # Staged-but-uncommitted rebuild payloads, kept parent-side so a
-        # commit that races a worker crash can be replayed on the
-        # respawned worker: (shard_index, ticket) -> units.
+        # Staged-but-uncommitted payloads, kept parent-side so a commit
+        # that races a worker crash can be replayed on the respawned
+        # worker: (shard_index, ticket) -> (units, columns).
         self._staged_lock = threading.Lock()
-        self._staged_units: Dict[Tuple[int, int], List[Any]] = {}
+        self._staged: Dict[Tuple[int, int], Tuple[List[Any], Any]] = {}
         self._started = False
         self._closed = False
         self._stats_lock = threading.Lock()
         self._stats: Dict[str, int] = {
             key: 0
             for key in (
-                "commands", "summaries", "layouts", "pipe_messages",
+                "commands", "summaries", "pipe_messages",
                 "shm_messages", "pipe_bytes", "shm_bytes", "updates",
                 "summary_deltas", "delta_rows", "delta_rows_saved",
                 "restarts",
@@ -279,7 +278,6 @@ class ShardProcessPool:
         # check forces a re-fetch) but its table is the baseline the worker
         # ships a row-suffix delta against.
         self._cache_lock = threading.Lock()
-        self._layout_cache: Dict[int, Tuple[int, ShardLayout]] = {}
         #: (shard, max_rank) -> (version, summary, state_id, export_id).
         self._summary_cache: Dict[
             Tuple[int, int],
@@ -360,7 +358,6 @@ class ShardProcessPool:
             args=(
                 child_end,
                 shard_index,
-                self._database.name,
                 get_backend().name,
                 units,
             ),
@@ -393,12 +390,11 @@ class ShardProcessPool:
         self._workers.clear()
         self._restart_locks.clear()
         with self._staged_lock:
-            self._staged_units.clear()
+            self._staged.clear()
         if self._gather is not None:
             self._gather.shutdown(wait=True)
             self._gather = None
         with self._cache_lock:
-            self._layout_cache.clear()
             self._summary_cache.clear()
 
     def __enter__(self) -> "ShardProcessPool":
@@ -573,7 +569,7 @@ class ShardProcessPool:
         supervisor's restart budget for the shard is spent.  Applies the
         supervisor's exponential backoff + jitter before spawning, bumps
         the ``restarts`` IPC counter, and drops only this shard's
-        parent-side layout/summary cache entries -- the other shards'
+        parent-side summary cache entries -- the other shards'
         version-keyed partials stay warm, so recovery costs one shard
         re-export, not a pool rebuild.
 
@@ -663,27 +659,12 @@ class ShardProcessPool:
         return self._database.shards()[shard_index].version
 
     def layouts(self) -> List[Tuple[int, ShardLayout]]:
-        """``(shard_index, layout)`` per non-empty shard, warm-cached."""
-        wanted = []
-        for index in self.shard_indices():
-            version = self._shard_version(index)
-            with self._cache_lock:
-                cached = self._layout_cache.get(index)
-            if cached is None or cached[0] != version:
-                wanted.append((index, version))
-        if wanted:
-            fetched = self._request_many(
-                [(index, "layout", None) for index, _ in wanted]
-            )
-            self._count(layouts=len(wanted))
-            with self._cache_lock:
-                for (index, version), layout in zip(wanted, fetched):
-                    self._layout_cache[index] = (version, layout)
-        with self._cache_lock:
-            return [
-                (index, self._layout_cache[index][1])
-                for index in self.shard_indices()
-            ]
+        """``(shard_index, columns)`` per non-empty shard.
+
+        The parent keeps every shard's columns itself (workers hold the
+        same ones), so this needs no worker round-trip.
+        """
+        return self._database.shard_layouts()
 
     def summaries(
         self, max_rank: int, use_cache: bool = True
@@ -728,10 +709,6 @@ class ShardProcessPool:
                         int(exported.get("state_id", 0)),
                         exported.get("export_id"),
                     )
-                    # The summary ships its layout anyway: keep it warm.
-                    existing = self._layout_cache.get(index)
-                    if existing is None or existing[0] != version:
-                        self._layout_cache[index] = (version, summary.layout)
         with self._cache_lock:
             return [
                 self._summary_cache[(index, max_rank)][1]
@@ -760,16 +737,10 @@ class ShardProcessPool:
                 rows.append((index, summary, (version, state_id)))
             return rows
 
-    def cached_layout(self, shard_index: int) -> Optional[ShardLayout]:
-        """The warm layout for one shard, if any (no worker round-trip)."""
-        with self._cache_lock:
-            entry = self._layout_cache.get(shard_index)
-            return entry[1] if entry is not None else None
-
     def cached_summaries(
-        self, shard_index: int
+        self, shard_index: int, version: int
     ) -> Dict[int, ShardRankSummary]:
-        """Warm ``max_rank -> summary`` entries for one shard (no I/O).
+        """Warm ``max_rank -> summary`` entries of one shard version (no I/O).
 
         Used by the coordinator to freeze a shard's outgoing state into
         its snapshot history right before an update commits.
@@ -778,7 +749,7 @@ class ShardProcessPool:
             return {
                 key[1]: value[1]
                 for key, value in self._summary_cache.items()
-                if key[0] == shard_index
+                if key[0] == shard_index and value[0] == version
             }
 
     def _decode_summary(
@@ -848,39 +819,43 @@ class ShardProcessPool:
             self.summaries(max_rank)
 
     # ------------------------------------------------------------------
-    # Update fan-out (staged rebuild protocol)
+    # Update fan-out (staged column swaps)
     # ------------------------------------------------------------------
-    def prepare_replace(self, shard_index: int, units: List[Any]) -> int:
-        """Stage a shard rebuild on the owning worker; returns a ticket.
+    def prepare_replace(
+        self, shard_index: int, units: List[Any], layout: Any = None
+    ) -> int:
+        """Stage a shard's replacement on the owning worker; returns a ticket.
 
-        The staged units are retained parent-side until the ticket
-        commits or aborts, so a commit that races a worker crash can be
-        *replayed* -- re-staged and re-committed -- on the respawned
-        worker instead of losing the update.
+        ``layout`` is the replacement columns the parent derived (built
+        from ``units`` on the worker when omitted).  The staged payload is
+        retained parent-side until the ticket commits or aborts, so a
+        commit that races a worker crash can be *replayed* -- re-staged
+        and re-committed -- on the respawned worker instead of losing the
+        update.
         """
         ticket = next(self._tickets)
         with self._staged_lock:
-            self._staged_units[(shard_index, ticket)] = units
+            self._staged[(shard_index, ticket)] = (units, layout)
         try:
-            self._request(shard_index, "prepare", (ticket, units))
+            self._request(shard_index, "prepare", (ticket, units, layout))
         except BaseException:
             with self._staged_lock:
-                self._staged_units.pop((shard_index, ticket), None)
+                self._staged.pop((shard_index, ticket), None)
             raise
         return ticket
 
     def commit_replace(self, shard_index: int, ticket: int) -> None:
-        """Swap a staged rebuild in (called under the parent's version check).
+        """Swap a staged replacement in (under the parent's version check).
 
         The shard's cache entries are deliberately *retained*: the version
-        check in :meth:`summaries` / :meth:`layouts` already keeps a stale
-        entry from being served, and its table is the baseline the worker
-        ships a row-suffix delta against on the next fetch.
+        check in :meth:`summaries` already keeps a stale entry from being
+        served, and its table is the baseline the worker ships a
+        row-suffix delta against on the next fetch.
 
         A worker crash here (the staged state died with the process) is
         recovered on a supervised pool by replaying the ticket: the
-        respawned worker rebuilt from the shard's last *committed* units,
-        so the retained staged units are re-staged and committed again --
+        respawned worker starts from the shard's last *committed* units,
+        so the retained staged payload is re-staged and committed again --
         the parent's version check still happens after this returns, so
         version authority is untouched.  Unsupervised pools surface the
         crash unchanged (the parent stays at the old version).
@@ -889,18 +864,18 @@ class ShardProcessPool:
             self._request(shard_index, "commit", ticket)
         except WorkerCrashError:
             with self._staged_lock:
-                units = self._staged_units.get((shard_index, ticket))
-            if units is None or not self.restart_worker(shard_index):
+                staged = self._staged.get((shard_index, ticket))
+            if staged is None or not self.restart_worker(shard_index):
                 raise
-            self._request(shard_index, "prepare", (ticket, units))
+            self._request(shard_index, "prepare", (ticket,) + staged)
             self._request(shard_index, "commit", ticket)
         finally:
             with self._staged_lock:
-                self._staged_units.pop((shard_index, ticket), None)
+                self._staged.pop((shard_index, ticket), None)
         self._count(updates=1)
 
     def abort_replace(self, shard_index: int, ticket: int) -> None:
-        """Drop a staged rebuild whose version check lost the race."""
+        """Drop a staged replacement whose version check lost the race."""
         try:
             self._request(shard_index, "abort", ticket)
         except ProcessPoolError:
@@ -910,7 +885,7 @@ class ShardProcessPool:
             pass
         finally:
             with self._staged_lock:
-                self._staged_units.pop((shard_index, ticket), None)
+                self._staged.pop((shard_index, ticket), None)
 
     def invalidate(self, shard_index: int) -> None:
         """Drop one worker's memoized artifacts (force-invalidation path)."""
@@ -919,7 +894,7 @@ class ShardProcessPool:
         self._drop_shard_cache(shard_index)
 
     def forget_cached_summaries(self) -> None:
-        """Drop the parent-side layout/summary caches for every shard.
+        """Drop the parent-side summary caches for every shard.
 
         Workers keep their memoized state, so the next fetch pays the full
         transport cost but no recompute -- this is the "cold coordinator,
@@ -930,21 +905,20 @@ class ShardProcessPool:
 
     def _drop_shard_cache(self, shard_index: int) -> None:
         with self._cache_lock:
-            self._layout_cache.pop(shard_index, None)
             for key in [
                 key for key in self._summary_cache if key[0] == shard_index
             ]:
                 del self._summary_cache[key]
 
     def staged_count(self, shard_index: int) -> int:
-        """Number of rebuilds staged but not yet committed on one worker."""
+        """Number of replacements staged but not yet committed on one worker."""
         return int(self._request(shard_index, "stats")["staged"])
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     def cache_info(self) -> CacheInfo:
-        """Roll-up of every worker session's cache counters (one exchange)."""
+        """Roll-up of every worker's summary cache counters (one exchange)."""
         if not self._workers:
             return CacheInfo()
         infos = self._request_many(

@@ -1,11 +1,13 @@
 """Shard worker process entrypoint.
 
-One worker process owns one database shard: it rebuilds the shard's
-database and warm :class:`~repro.session.QuerySession` from the (picklable)
-partition units, answers layout / summary / cache-info requests over its
-pipe, and participates in the coordinator's version-checked update protocol
-through staged ``prepare`` / ``commit`` / ``abort`` commands (the expensive
-tree rebuild happens here, off the parent's query path; the parent's
+One worker process owns one database shard: it holds the shard's partition
+units and the same columnar :class:`~repro.sharding.summary.ShardLayout` the
+parent keeps (built from the units, never from a tree), answers summary /
+cache-info requests over its pipe, and participates in the coordinator's
+version-checked update protocol through staged ``prepare`` / ``commit`` /
+``abort`` commands: ``prepare`` stages the replacement columns the parent
+derived, ``commit`` swaps them in and resumes the prefix tables from the
+first changed row (the parent's
 :class:`~repro.models.sharded.ShardedDatabase` keeps sole authority over
 shard versions and the distinct-score registry).
 
@@ -28,8 +30,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.engine import get_backend, set_backend
 from repro.exceptions import ProcessPoolError
-from repro.session import QuerySession
-from repro.sharding.summary import shard_layout, table_delta_start
+from repro.sharding.summary import ShardLayout, table_delta_start
 
 #: Transport tags for the prefix-table payload of a summary reply.
 PIPE_TRANSPORT = "pipe"
@@ -97,16 +98,15 @@ def export_prefix_table(
 
 
 class ShardWorkerState:
-    """The worker-side shard: units, database, session, staged rebuilds."""
+    """The worker-side shard: units, columns, staged replacements."""
 
-    def __init__(self, shard_index: int, name: str, units: List[Any]) -> None:
+    def __init__(self, shard_index: int, units: List[Any]) -> None:
         self.shard_index = shard_index
-        self.name = name
         self.units = units
-        self._database: Optional[Any] = None
-        self._session: Optional[QuerySession] = None
-        #: ticket -> (units, database): rebuilds prepared but not committed.
-        self.staged: Dict[int, Tuple[List[Any], Any]] = {}
+        self._layout: Optional[ShardLayout] = None
+        #: ticket -> (units, columns or None): replacements prepared, not
+        #: committed.
+        self.staged: Dict[int, Tuple[List[Any], Optional[ShardLayout]]] = {}
         #: Monotone id of the worker's committed state.  Bumped atomically
         #: with the staged swap, so it identifies summary *content* even
         #: while the parent's version bump is still in flight.
@@ -116,40 +116,22 @@ class ShardWorkerState:
         self._exports: Dict[int, Tuple[int, List[Any], List[float]]] = {}
         self._next_export = 0
 
-    def _build_database(self, units: List[Any]) -> Any:
-        from repro.models.sharded import build_shard_database
-
-        return build_shard_database(self.name, self.shard_index, units)
-
-    def session(self) -> Optional[QuerySession]:
+    def layout(self) -> ShardLayout:
         if not self.units:
-            return None
-        if self._session is None:
-            if self._database is None:
-                self._database = self._build_database(self.units)
-            self._session = QuerySession(self._database.tree)
-        return self._session
-
-    # -- command handlers ----------------------------------------------
-    def handle_layout(self, _payload: Any) -> Any:
-        session = self.session()
-        if session is None:
             raise ProcessPoolError(
                 f"shard {self.shard_index} is empty; it has no layout"
             )
-        return shard_layout(session)
+        if self._layout is None:
+            self._layout = ShardLayout.from_units(self.units)
+        return self._layout
 
+    # -- command handlers ----------------------------------------------
     def handle_summary(
         self, payload: Tuple[int, bool, int, Optional[int]]
     ) -> Any:
         max_rank, shm_wanted, shm_min_bytes, base_export = payload
-        session = self.session()
-        if session is None:
-            raise ProcessPoolError(
-                f"shard {self.shard_index} is empty; it has no summary"
-            )
-        summary = session.partial_rank_summary(max_rank)
-        layout = summary.layout
+        layout = self.layout()
+        summary = layout.summary(max_rank)
         table = None
         export_id: Optional[int] = None
         if summary.is_independent:
@@ -195,24 +177,27 @@ class ShardWorkerState:
             "export_id": export_id,
         }
 
-    def handle_prepare(self, payload: Tuple[int, List[Any]]) -> int:
-        ticket, units = payload
-        # The expensive half of the swap: tree construction runs here, on
-        # the owning worker, while other shards keep answering queries.
-        self.staged[ticket] = (units, self._build_database(units))
+    def handle_prepare(
+        self, payload: Tuple[int, List[Any], Optional[ShardLayout]]
+    ) -> int:
+        ticket, units, layout = payload
+        # Without columns from the parent they are built from the units
+        # on first use after the commit.
+        self.staged[ticket] = (units, layout)
         return ticket
 
     def handle_commit(self, ticket: int) -> int:
         try:
-            units, database = self.staged.pop(ticket)
+            units, layout = self.staged.pop(ticket)
         except KeyError:
             raise ProcessPoolError(
-                f"unknown staged rebuild ticket {ticket} on shard "
+                f"unknown staged update ticket {ticket} on shard "
                 f"{self.shard_index} (already committed or aborted?)"
             ) from None
+        if layout is not None and self._layout is not None:
+            layout.adopt_tables(self._layout)
         self.units = units
-        self._database = database
-        self._session = None
+        self._layout = layout
         # New committed content: advance the state id the parent pairs
         # with shard versions so merge caches never mix states.
         self.state_id += 1
@@ -223,16 +208,17 @@ class ShardWorkerState:
         return ticket
 
     def handle_invalidate(self, _payload: Any) -> None:
-        if self._session is not None:
-            self._session.invalidate()
+        # Force-invalidation: the columns (and every table) are rebuilt
+        # from the units on the next request.
+        self._layout = None
         return None
 
     def handle_cache_info(self, _payload: Any) -> Any:
-        if self._session is None:
+        if self._layout is None:
             from repro.session import CacheInfo
 
             return CacheInfo(backend=get_backend().name)
-        return self._session.cache_info()
+        return self._layout.cache_info()
 
     def handle_stats(self, _payload: Any) -> Dict[str, Any]:
         return {
@@ -240,7 +226,7 @@ class ShardWorkerState:
             "shard_index": self.shard_index,
             "tuples": len(self.units),
             "staged": len(self.staged),
-            "session_built": self._session is not None,
+            "columns_built": self._layout is not None,
             "backend": get_backend().name,
             "state_id": self.state_id,
         }
@@ -249,15 +235,13 @@ class ShardWorkerState:
 def worker_main(
     connection: Any,
     shard_index: int,
-    name: str,
     backend_name: str,
     units: List[Any],
 ) -> None:
     """Run one shard worker until shutdown or parent disconnect."""
     set_backend(backend_name)
-    state = ShardWorkerState(shard_index, name, units)
+    state = ShardWorkerState(shard_index, units)
     handlers = {
-        "layout": state.handle_layout,
         "summary": state.handle_summary,
         "prepare": state.handle_prepare,
         "commit": state.handle_commit,

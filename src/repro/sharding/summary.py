@@ -11,29 +11,46 @@ tuple-independent shards (:meth:`~repro.engine.backends.Backend.\
 prefix_count_polynomials`), one memoized Bernoulli product per requested
 prefix for block-independent shards.
 
-The ``max_rank``-independent part -- key/score/probability layout, block
-structure, the decreasing-score alternative stream -- is extracted once per
-shard session (:func:`shard_layout`, memoized as a session artifact and
-therefore dropped on invalidation), so summaries at several truncations and
-the coordinator's merged key space all share one extraction.
+The ``max_rank``-independent part -- key/score/probability columns, block
+structure, the decreasing-score alternative stream -- is a
+:class:`ShardLayout`.  A partitioned database builds it straight from a
+shard's partition units (:meth:`ShardLayout.from_units`) and keeps it as the
+shard's whole state: summaries at several truncations and the coordinator's
+merged key space all read it, and an update derives the next layout from
+the current one (:meth:`ShardLayout.replaced`), re-sweeping prefix tables
+only from the first changed row.  A standalone session extracts the same
+layout from its tree (:func:`shard_layout`, memoized as a session artifact).
 """
 
 from __future__ import annotations
 
+import threading
 from bisect import bisect_left
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.andxor.nodes import AndNode, Leaf, XorNode
 from repro.engine import get_backend
-from repro.exceptions import ModelError
+from repro.exceptions import ModelError, ProbabilityError
+from repro.session import ArtifactCounters, CacheInfo
 
 
 class ShardLayout:
-    """The truncation-independent layout of one shard.
+    """One shard's columnar state.
 
-    One instance per shard session generation, shared by every
-    :class:`ShardRankSummary` over that shard and by the coordinator's
-    merged key space.
+    Tuple-independent shards are three score-sorted columns -- keys,
+    presence probabilities, scores; block-independent (BID) shards are
+    their blocks plus the decreasing-score alternative stream with a block
+    id per alternative.  The dictionaries and triple lists beside the
+    columns are derived from them once per layout.  This is everything the
+    coordinator reads of a shard: the merged key space, the score grid and,
+    through :meth:`summary`, one memoized :class:`ShardRankSummary` per
+    truncation (for tuple-independent shards, the prefix count-polynomial
+    table).
+
+    Layouts are immutable.  An update builds the next one with
+    :meth:`replaced`; :meth:`adopt_tables` then lets it resume the previous
+    layout's prefix tables from the first changed row instead of sweeping
+    them again.
     """
 
     __slots__ = (
@@ -47,106 +64,380 @@ class ShardLayout:
         "triples",
         "key_triples",
         "scores",
+        "_lock",
+        "_summaries",
+        "_bases",
+        "_hits",
+        "_misses",
     )
 
     def __init__(self, session: Any) -> None:
         layout = session.independent_tuple_layout()
         if layout is not None:
-            self.independent = True
-            self.keys: List[Hashable] = [key for key, _, _ in layout]
-            self.probabilities: List[float] = [p for _, p, _ in layout]
-            self.scores: List[float] = [score for _, _, score in layout]
-            self.block_of: Dict[Hashable, int] = {
-                key: index for index, key in enumerate(self.keys)
-            }
-            self.alternatives: Dict[Hashable, List[Tuple[float, float]]] = {
-                key: [(score, probability)]
-                for key, probability, score in layout
-            }
-            self.triples: List[Tuple[float, float, int]] = [
-                (score, probability, index)
-                for index, (_, probability, score) in enumerate(layout)
-            ]
-            self.key_triples: List[Tuple[float, float, Hashable]] = [
-                (score, probability, key)
-                for key, probability, score in layout
-            ]
-            self.presence: Dict[Hashable, float] = dict(
-                zip(self.keys, self.probabilities)
+            self._set_independent(
+                [key for key, _, _ in layout],
+                [score for _, _, score in layout],
+                [probability for _, probability, _ in layout],
             )
-            self.best_score: Dict[Hashable, float] = dict(
-                zip(self.keys, self.scores)
-            )
-            return
-        self.independent = False
-        self._extract_block_layout(session)
+        else:
+            self._set_blocks(*_tree_blocks(session))
 
-    def _extract_block_layout(self, session: Any) -> None:
-        """Read the block-independent (BID) layout off the shard's tree."""
-        tree = session.tree
-        root = tree.root
-        if not isinstance(root, AndNode):
-            raise ModelError(
-                "shard summaries require a tuple-independent or "
-                "block-independent database layout"
+    @classmethod
+    def from_units(cls, units: Sequence[Any]) -> "ShardLayout":
+        """The layout of a shard's partition units, built without a tree.
+
+        Field for field what :class:`ShardLayout` reads off the shard's
+        and/xor tree, with the same validation: probabilities in range,
+        block masses at most one, numeric scores, and no two tuples sharing
+        a score.
+        """
+        blocks = [
+            (unit[1], _unit_alternatives(unit)) for unit in units
+        ]
+        self = cls.__new__(cls)
+        if all(len(alternatives) == 1 for _, alternatives in blocks):
+            rows = sorted(
+                (
+                    (_score_of(key, value, score), probability, key)
+                    for key, [(value, score, probability)] in blocks
+                ),
+                key=lambda row: -row[0],
             )
-        self.keys = []
-        self.block_of = {}
-        self.alternatives = {}
-        triples: List[Tuple[float, float, int]] = []
-        for child in root.children():
-            if not isinstance(child, XorNode):
-                raise ModelError(
-                    "shard summaries require xor blocks directly under the "
-                    "and root (tuple-independent or BID layout)"
-                )
-            block_key: Optional[Hashable] = None
-            alternatives: List[Tuple[float, float]] = []
-            for leaf, probability in child.edges():
-                if not isinstance(leaf, Leaf):
-                    raise ModelError(
-                        "shard summaries require leaf-only xor blocks "
-                        "(tuple-independent or BID layout)"
-                    )
-                if block_key is None:
-                    block_key = leaf.alternative.key
-                elif leaf.alternative.key != block_key:
-                    raise ModelError(
-                        "shard summaries require same-key alternatives "
-                        "within each block (BID layout)"
-                    )
-                alternatives.append(
-                    (session.score_of(leaf.alternative), float(probability))
-                )
-            if block_key is None:
-                continue  # empty block: never produces a tuple
-            if block_key in self.block_of:
-                raise ModelError(
-                    f"duplicate block key {block_key!r} in shard layout"
-                )
-            block_index = len(self.keys)
-            self.keys.append(block_key)
-            self.block_of[block_key] = block_index
-            self.alternatives[block_key] = alternatives
-            triples.extend(
-                (score, probability, block_index)
-                for score, probability in alternatives
+            _reject_ties(rows)
+            self._set_independent(
+                [key for _, _, key in rows],
+                [score for score, _, _ in rows],
+                [probability for _, probability, _ in rows],
             )
+            return self
+        keys = []
+        alternatives: Dict[Hashable, List[Tuple[float, float]]] = {}
+        for key, block in blocks:
+            if not block:
+                continue  # an empty block never produces a tuple
+            keys.append(key)
+            alternatives[key] = [
+                (_score_of(key, value, score), probability)
+                for value, score, probability in block
+            ]
+        self._set_blocks(keys, alternatives)
+        _reject_ties(self.key_triples)
+        return self
+
+    def _set_independent(
+        self,
+        keys: List[Hashable],
+        scores: List[float],
+        probabilities: List[float],
+    ) -> None:
+        self.independent = True
+        self.keys = keys
+        self.scores = scores
+        self.probabilities = probabilities
+        self.block_of = {key: index for index, key in enumerate(keys)}
+        self.alternatives = {
+            key: [(score, probability)]
+            for key, score, probability in zip(keys, scores, probabilities)
+        }
+        self.triples = [
+            (score, probability, index)
+            for index, (score, probability) in enumerate(
+                zip(scores, probabilities)
+            )
+        ]
+        self.key_triples = list(zip(scores, probabilities, keys))
+        self.presence = dict(zip(keys, probabilities))
+        self.best_score = dict(zip(keys, scores))
+        self._init_caches()
+
+    def _set_blocks(
+        self,
+        keys: List[Hashable],
+        alternatives: Dict[Hashable, List[Tuple[float, float]]],
+    ) -> None:
+        self.independent = False
+        self.keys = keys
+        self.alternatives = alternatives
+        self.block_of = {key: index for index, key in enumerate(keys)}
+        triples = [
+            (score, probability, block)
+            for block, key in enumerate(keys)
+            for score, probability in alternatives[key]
+        ]
         triples.sort(key=lambda item: -item[0])
         self.triples = triples
         self.key_triples = [
-            (score, probability, self.keys[block])
+            (score, probability, keys[block])
             for score, probability, block in triples
         ]
         self.scores = [score for score, _, _ in triples]
         self.probabilities = [
-            sum(p for _, p in self.alternatives[key]) for key in self.keys
+            sum(p for _, p in alternatives[key]) for key in keys
         ]
-        self.presence = dict(zip(self.keys, self.probabilities))
+        self.presence = dict(zip(keys, self.probabilities))
         self.best_score = {
-            key: max(score for score, _ in self.alternatives[key])
-            for key in self.keys
+            key: max(score for score, _ in alternatives[key]) for key in keys
         }
+        self._init_caches()
+
+    def _init_caches(self) -> None:
+        self._lock = threading.Lock()
+        #: (backend name, max_rank) -> summary.
+        self._summaries: Dict[Tuple[str, int], ShardRankSummary] = {}
+        #: (backend name, max_rank) -> (earlier table, first stale row).
+        self._bases: Dict[Tuple[str, int], Tuple[Any, int]] = {}
+        self._hits = 0
+        self._misses = 0
+
+    # -- pickling: columns only, caches are per process -----------------
+    def __getstate__(self) -> Tuple[Any, ...]:
+        if self.independent:
+            return (True, self.keys, self.scores, self.probabilities)
+        return (False, self.keys, self.alternatives)
+
+    def __setstate__(self, state: Tuple[Any, ...]) -> None:
+        if state[0]:
+            self._set_independent(*state[1:])
+        else:
+            self._set_blocks(*state[1:])
+
+    # ------------------------------------------------------------------
+    # Updates
+    # ------------------------------------------------------------------
+    def replaced(
+        self, units: Sequence[Any], key: Hashable, unit: Any
+    ) -> "ShardLayout":
+        """The layout after ``key``'s unit became ``unit``.
+
+        ``units`` is the shard's full replacement unit list.  A
+        tuple-independent tuple that keeps its score changes one
+        probability entry; one whose score moved is deleted and re-inserted
+        at its new position.  Everything else (BID blocks) rebuilds this
+        shard's columns from ``units``.  Unchanged columns are shared with
+        this layout, never copied.
+        """
+        alternatives = _unit_alternatives(unit)
+        if not self.independent or len(alternatives) != 1:
+            return ShardLayout.from_units(units)
+        (value, score, probability), = alternatives
+        score = _score_of(key, value, score)
+        row = self.block_of[key]
+        layout = ShardLayout.__new__(ShardLayout)
+        if score == self.scores[row]:
+            probabilities = list(self.probabilities)
+            probabilities[row] = probability
+            layout.independent = True
+            layout.keys = self.keys
+            layout.scores = self.scores
+            layout.probabilities = probabilities
+            layout.block_of = self.block_of
+            layout.best_score = self.best_score
+            layout.alternatives = dict(self.alternatives)
+            layout.alternatives[key] = [(score, probability)]
+            layout.presence = dict(self.presence)
+            layout.presence[key] = probability
+            layout.triples = list(self.triples)
+            layout.triples[row] = (score, probability, row)
+            layout.key_triples = list(self.key_triples)
+            layout.key_triples[row] = (score, probability, key)
+            layout._init_caches()
+            return layout
+        keys = self.keys[:row] + self.keys[row + 1:]
+        scores = self.scores[:row] + self.scores[row + 1:]
+        probabilities = (
+            self.probabilities[:row] + self.probabilities[row + 1:]
+        )
+        position = bisect_left([-other for other in scores], -score)
+        for neighbour in (position - 1, position):
+            if 0 <= neighbour < len(scores) and scores[neighbour] == score:
+                raise ModelError(
+                    f"tuples {keys[neighbour]!r} and {key!r} share score "
+                    f"{score}; ranking assumes distinct scores"
+                )
+        keys.insert(position, key)
+        scores.insert(position, score)
+        probabilities.insert(position, probability)
+        layout._set_independent(keys, scores, probabilities)
+        return layout
+
+    def adopt_tables(self, previous: "ShardLayout") -> None:
+        """Resume ``previous``'s prefix tables instead of re-sweeping them.
+
+        Row ``m`` of a prefix table depends only on the first ``m``
+        (score-sorted) probabilities, so every table ``previous`` holds --
+        or was itself going to resume -- stays valid up to the first row
+        where the two layouts' columns differ.  Each becomes a base that
+        :meth:`summary` sweeps forward from that row, lazily, on the next
+        request for its truncation.
+        """
+        if not (self.independent and previous.independent):
+            return
+        start = _first_change(previous, self)
+        with previous._lock:
+            bases = {
+                key: (table, min(row, start))
+                for key, (table, row) in previous._bases.items()
+            }
+            for key, summary in previous._summaries.items():
+                bases[key] = (summary._prefix_table, start)
+        with self._lock:
+            for key, base in bases.items():
+                if key not in self._summaries:
+                    self._bases.setdefault(key, base)
+
+    # ------------------------------------------------------------------
+    # Summaries
+    # ------------------------------------------------------------------
+    def summary(self, max_rank: int) -> "ShardRankSummary":
+        """The memoized :class:`ShardRankSummary` at one truncation."""
+        backend = get_backend()
+        max_rank = max(int(max_rank), 1)
+        key = (backend.name, max_rank)
+        with self._lock:
+            summary = self._summaries.get(key)
+            if summary is not None:
+                self._hits += 1
+                return summary
+            self._misses += 1
+            table = None
+            if self.independent:
+                base = self._bases.pop(key, (None, 0))
+                table = backend.prefix_count_polynomials(
+                    self.probabilities, max_rank, *base
+                )
+            summary = ShardRankSummary.from_layout(self, max_rank, table)
+            self._summaries[key] = summary
+            return summary
+
+    def cache_info(self) -> CacheInfo:
+        """Hit/miss counters of the per-truncation summaries."""
+        with self._lock:
+            return CacheInfo(
+                hits=self._hits,
+                misses=self._misses,
+                entries=len(self._summaries),
+                backend=get_backend().name,
+                artifacts={
+                    "rank_partials": ArtifactCounters(
+                        self._hits, self._misses
+                    )
+                },
+            )
+
+
+def _tree_blocks(
+    session: Any,
+) -> Tuple[List[Hashable], Dict[Hashable, List[Tuple[float, float]]]]:
+    """Read the block-independent (BID) layout off a session's tree."""
+    root = session.tree.root
+    if not isinstance(root, AndNode):
+        raise ModelError(
+            "shard summaries require a tuple-independent or "
+            "block-independent database layout"
+        )
+    keys: List[Hashable] = []
+    alternatives: Dict[Hashable, List[Tuple[float, float]]] = {}
+    for child in root.children():
+        if not isinstance(child, XorNode):
+            raise ModelError(
+                "shard summaries require xor blocks directly under the "
+                "and root (tuple-independent or BID layout)"
+            )
+        block_key: Optional[Hashable] = None
+        block: List[Tuple[float, float]] = []
+        for leaf, probability in child.edges():
+            if not isinstance(leaf, Leaf):
+                raise ModelError(
+                    "shard summaries require leaf-only xor blocks "
+                    "(tuple-independent or BID layout)"
+                )
+            if block_key is None:
+                block_key = leaf.alternative.key
+            elif leaf.alternative.key != block_key:
+                raise ModelError(
+                    "shard summaries require same-key alternatives "
+                    "within each block (BID layout)"
+                )
+            block.append(
+                (session.score_of(leaf.alternative), float(probability))
+            )
+        if block_key is None:
+            continue  # empty block: never produces a tuple
+        if block_key in alternatives:
+            raise ModelError(
+                f"duplicate block key {block_key!r} in shard layout"
+            )
+        keys.append(block_key)
+        alternatives[block_key] = block
+    return keys, alternatives
+
+
+def _unit_alternatives(unit: Any) -> List[Tuple[Any, Any, float]]:
+    """A partition unit's validated ``(value, score, probability)`` list.
+
+    The same checks the tree builders apply: an independent tuple's
+    probability lies in [0, 1]; a block's are non-negative (tiny negative
+    rounding is clamped to zero) and sum to at most one.
+    """
+    if unit[0] == "independent":
+        _, _, value, score, probability = unit
+        probability = float(probability)
+        if not 0.0 <= probability <= 1.0 + 1e-12:
+            raise ProbabilityError(
+                f"tuple probability {probability} outside [0, 1]"
+            )
+        return [(value, score, probability)]
+    block = []
+    for value, score, probability in unit[2]:
+        probability = float(probability)
+        if probability < -1e-12:
+            raise ProbabilityError(
+                f"negative xor edge probability {probability}"
+            )
+        block.append((value, score, max(probability, 0.0)))
+    total = sum(probability for _, _, probability in block)
+    if total > 1.0 + 1e-9:
+        raise ProbabilityError(
+            f"xor node edge probabilities sum to {total} > 1"
+        )
+    return block
+
+
+def _score_of(key: Hashable, value: Any, score: Any) -> float:
+    """:meth:`~repro.core.tuples.TupleAlternative.effective_score`."""
+    if score is not None:
+        return float(score)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(
+            f"alternative ({key!r}, {value!r}) has no numeric score; "
+            "provide an explicit score for ranking queries"
+        )
+    return float(value)
+
+
+def _reject_ties(rows: Sequence[Tuple[float, float, Hashable]]) -> None:
+    """Reject two tuples sharing a score in a decreasing-score stream."""
+    for first, second in zip(rows, rows[1:]):
+        if first[0] == second[0] and first[2] != second[2]:
+            raise ModelError(
+                f"tuples {first[2]!r} and {second[2]!r} share score "
+                f"{first[0]}; ranking assumes distinct scores"
+            )
+
+
+def _first_change(old: ShardLayout, new: ShardLayout) -> int:
+    """First row at which two tuple-independent layouts' columns differ."""
+    limit = min(len(old.keys), len(new.keys))
+    first = limit
+    pairs = [(old.probabilities, new.probabilities)]
+    if old.scores is not new.scores:
+        pairs.append((old.scores, new.scores))
+    for before, after in pairs:
+        for index in range(first):
+            if before[index] != after[index]:
+                first = index
+                break
+    return first
 
 
 def shard_layout(session: Any) -> ShardLayout:
