@@ -32,7 +32,9 @@ from repro.consensus.topk.common import (
     TopKAnswer,
     TreeOrStatistics,
     as_session,
+    membership_top_keys,
     rank_matrix_view,
+    top_keys,
     validate_k,
 )
 from repro.exceptions import ConsensusError, EnumerationLimitError
@@ -117,17 +119,15 @@ def probabilistic_threshold_topk(
         if probability >= threshold
     ]
     return tuple(
-        sorted(selected, key=lambda key: (-membership[key], repr(key)))
+        top_keys(
+            selected, [membership[key] for key in selected], len(selected)
+        )
     )
 
 
 def global_topk(source: TreeOrStatistics, k: int) -> TopKAnswer:
     """The Global-Top-k answer: ``k`` tuples with largest ``Pr(r(t) <= k)``."""
-    session = as_session(source)
-    membership = session.top_k_membership(k)
-    return tuple(
-        sorted(membership, key=lambda key: (-membership[key], repr(key)))[:k]
-    )
+    return tuple(membership_top_keys(source, k, k))
 
 
 def expected_rank_topk(source: TreeOrStatistics, k: int) -> TopKAnswer:
@@ -135,9 +135,8 @@ def expected_rank_topk(source: TreeOrStatistics, k: int) -> TopKAnswer:
     session = as_session(source)
     validate_k(session, k)
     expected = session.expected_rank_table()
-    return tuple(
-        sorted(expected, key=lambda key: (expected[key], repr(key)))[:k]
-    )
+    keys = list(expected)
+    return tuple(top_keys(keys, [-expected[key] for key in keys], k))
 
 
 def expected_score_topk(source: TreeOrStatistics, k: int) -> TopKAnswer:
@@ -156,6 +155,5 @@ def expected_score_topk(source: TreeOrStatistics, k: int) -> TopKAnswer:
             * tree.alternative_probability(alternative)
             for alternative in tree.alternatives_of(key)
         )
-    return tuple(
-        sorted(expected, key=lambda key: (-expected[key], repr(key)))[:k]
-    )
+    keys = list(expected)
+    return tuple(top_keys(keys, [expected[key] for key in keys], k))

@@ -3,7 +3,9 @@
 Sub-modules
 -----------
 ``common``
-    Shared plumbing: coercing trees into cached rank statistics.
+    Shared plumbing: coercing trees into cached rank statistics, and
+    ``top_keys``, the one selection rule (largest value first, ties by
+    ``repr``) every Top-k answer is picked with.
 ``symmetric_difference``
     Theorem 3 (mean answer = the ``k`` tuples with largest ``Pr(r(t) <= k)``,
     i.e. a probabilistic-threshold / Global-Top-k answer) and Theorem 4 (the

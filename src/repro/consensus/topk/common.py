@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Hashable, List, Sequence, Tuple, Union
+import heapq
+from typing import Any, Hashable, List, Sequence, Tuple, Union
 
 from repro.andxor.rank_probabilities import RankStatistics
 from repro.andxor.tree import AndXorTree
-from repro.engine import RankMatrix
+from repro.engine import RankMatrix, get_backend
 from repro.exceptions import ConsensusError
 from repro.session import QuerySession
 from repro.session import as_session as _as_session
@@ -74,6 +75,36 @@ def rank_matrix_view(
     return session.rank_matrix(k)
 
 
+def top_keys(
+    keys: Sequence[Hashable], values: Any, count: int
+) -> List[Hashable]:
+    """The ``count`` keys with the largest ``values``, ties by ``repr``.
+
+    Exactly ``sorted(keys, key=lambda key: (-value[key], repr(key)))
+    [:count]`` with ``values`` aligned to ``keys`` (a native backend vector
+    or any float sequence) -- the one tie rule of every Top-k selection.
+    The backend first narrows the ``n`` indices to those at or above the
+    ``count``-th largest value (an ``O(n)`` partition on NumPy, so ties at
+    the boundary stay in); ``heapq.nsmallest``, which the Python docs
+    define as that sorted slice, orders only those candidates.
+    """
+    candidates = get_backend().top_candidates(values, count)
+    chosen = heapq.nsmallest(
+        count,
+        candidates,
+        key=lambda index: (-values[index], repr(keys[index])),
+    )
+    return [keys[index] for index in chosen]
+
+
+def membership_top_keys(
+    source: TreeOrStatistics, k: int, count: int
+) -> List[Hashable]:
+    """The ``count`` keys with the largest ``Pr(r(t) <= k)`` (:func:`top_keys`)."""
+    matrix = rank_matrix_view(source, k)
+    return top_keys(matrix.keys(), matrix.membership_vector(), count)
+
+
 def order_by_score(
     source: TreeOrStatistics, keys: Sequence[Hashable]
 ) -> TopKAnswer:
@@ -82,8 +113,8 @@ def order_by_score(
     This is the natural presentation order for order-insensitive answers such
     as the symmetric-difference consensus.
     """
-    session = as_session(source)
-    best_score = session.best_scores(keys)
+    keys = list(keys)
+    best_score = as_session(source).best_scores(keys)
     return tuple(
-        sorted(keys, key=lambda key: (-best_score[key], repr(key)))
+        top_keys(keys, [best_score[key] for key in keys], len(keys))
     )

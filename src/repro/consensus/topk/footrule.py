@@ -15,6 +15,11 @@ where, writing ``Υ1(t) = Σ_{i<=k} Pr(r(t)=i)``,
 
 Choosing which tuple occupies which position to minimise ``Σ_i f(τ(i), i)``
 is an assignment problem, solved exactly with the Hungarian algorithm.
+Only the union of each position's ``k`` cheapest tuples goes to the solver
+(all tuples when ``n <= k²``): a position holding a tuple outside its own
+``k`` cheapest can always move to one of them that no other position uses,
+at no extra cost, so the pruned problem keeps the exact optimum
+(:func:`~repro.matching.minimize_position_assignment`).
 
 .. note::
    The paper prints ``Υ3`` with ``+ i Pr(r(t) > k)``, but its own derivation
@@ -28,7 +33,7 @@ is an assignment problem, solved exactly with the Hungarian algorithm.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Sequence, Tuple
+from typing import Any, Hashable, List, Sequence, Tuple
 
 from repro.consensus.topk.common import (
     TopKAnswer,
@@ -37,8 +42,9 @@ from repro.consensus.topk.common import (
     rank_matrix_view,
     validate_k,
 )
+from repro.engine import Backend
 from repro.exceptions import ConsensusError
-from repro.matching import minimize_cost_assignment
+from repro.matching import minimize_position_assignment
 
 
 class FootruleStatistics:
@@ -46,27 +52,34 @@ class FootruleStatistics:
 
     Instances are memoized per ``k`` on the query session
     (:meth:`repro.session.QuerySession.footrule_statistics`), so evaluating
-    several candidate answers reuses the same Υ tables.  The whole
-    ``n × k`` cost table ``f(t, i)`` is produced by one backend kernel
+    several candidate answers reuses the same Υ tables.  Υ1 and Υ2 are
+    native vectors aligned with :meth:`keys`, and the whole ``n × k`` cost
+    table ``f(t, i)`` is produced by one backend kernel
     (:meth:`~repro.engine.backends.Backend.footrule_cost_matrix`: a matrix
     product of the truncated rank matrix against the ``k × k`` ``|i-j|``
     grid plus two rank-one updates) instead of the per-entry Υ3 loop.
+
+    The statistics keep the rank matrix, not the session: sessions memoize
+    them, and a back reference would make every session a reference cycle
+    that only the cycle collector frees.
     """
 
     def __init__(self, source: TreeOrStatistics, k: int) -> None:
-        self._session = as_session(source)
-        self._k = validate_k(self._session, k)
-        self._matrix = rank_matrix_view(self._session, k)
-        # Υ1 and Υ2 for all tuples in two weighted row sums.
-        self._upsilon1 = self._matrix.membership()
-        self._upsilon2 = self._matrix.weighted_sums(
+        session = as_session(source)
+        self._k = validate_k(session, k)
+        self._matrix = rank_matrix_view(session, k)
+        backend = self._matrix.backend
+        # Υ1 and Υ2 for all tuples: a row sum and one matrix-vector product.
+        self._upsilon1 = self._matrix.membership_vector()
+        self._upsilon2 = self._matrix.weighted_vector(
             [float(i) for i in range(1, k + 1)]
         )
-        backend = self._matrix.backend
         self._cost = backend.footrule_cost_matrix(self._matrix.native, k)
-        self._row_index = {
-            key: row for row, key in enumerate(self._matrix.keys())
-        }
+        # C = (k+1) k + Σ_t ((k+1) Υ1(t) - Υ2(t)), as two vector totals.
+        self._constant = (k + 1.0) * k + (
+            (k + 1.0) * backend.vector_sum(self._upsilon1)
+            - backend.vector_sum(self._upsilon2)
+        )
 
     @property
     def k(self) -> int:
@@ -74,20 +87,31 @@ class FootruleStatistics:
         return self._k
 
     def keys(self) -> List[Hashable]:
-        """The tuple keys of the database, aligned with :meth:`cost_rows`.
+        """The tuple keys of the database, aligned with :attr:`cost_matrix`.
 
-        ``keys()[column]`` is the tuple of column ``column`` of the cost
-        table (the rank-matrix row order).
+        ``keys()[row]`` is the tuple of row ``row`` of the cost table (the
+        rank-matrix row order).
         """
         return self._matrix.keys()
 
+    @property
+    def cost_matrix(self) -> Any:
+        """The native ``n × k`` cost table: cell ``(row, i - 1)`` is
+        ``f(keys()[row], i)``.  Callers must not mutate it."""
+        return self._cost
+
+    @property
+    def backend(self) -> Backend:
+        """The backend holding :attr:`cost_matrix`."""
+        return self._matrix.backend
+
     def upsilon1(self, key: Hashable) -> float:
         """``Υ1(t) = Pr(r(t) <= k)``."""
-        return self._upsilon1[key]
+        return float(self._upsilon1[self._matrix.position(key)])
 
     def upsilon2(self, key: Hashable) -> float:
         """``Υ2(t) = Σ_{i<=k} i Pr(r(t) = i)``."""
-        return self._upsilon2[key]
+        return float(self._upsilon2[self._matrix.position(key)])
 
     def upsilon3(self, key: Hashable, position: int) -> float:
         """``Υ3(t, i) = Σ_{j<=k} Pr(r(t)=j) |i-j| - i Pr(r(t) > k)``.
@@ -104,11 +128,7 @@ class FootruleStatistics:
 
     def constant_term(self) -> float:
         """The ``τ``-independent constant ``C`` of Figure 2."""
-        k = self._k
-        return (k + 1.0) * k + sum(
-            (k + 1.0) * self.upsilon1(key) - self.upsilon2(key)
-            for key in self.keys()
-        )
+        return self._constant
 
     def position_cost(self, key: Hashable, position: int) -> float:
         """``f(t, i) = Υ3(t, i) + Υ2(t) - 2 (k+1) Υ1(t)``."""
@@ -117,19 +137,8 @@ class FootruleStatistics:
                 f"position must lie in 1..{self._k}, got {position}"
             )
         return self._matrix.backend.matrix_cell(
-            self._cost, self._row_index[key], position - 1
+            self._cost, self._matrix.position(key), position - 1
         )
-
-    def cost_rows(self) -> List[List[float]]:
-        """The ``k × n`` assignment cost table (rows = positions).
-
-        ``cost_rows()[i - 1][column]`` is ``f(t, i)`` for the tuple at
-        ``keys()[column]`` -- the orientation
-        :func:`~repro.matching.minimize_cost_assignment` needs
-        (``rows <= cols``).
-        """
-        backend = self._matrix.backend
-        return backend.matrix_to_lists(backend.transpose(self._cost))
 
 
 def expected_topk_footrule_distance(
@@ -163,7 +172,9 @@ def mean_topk_footrule(
     """
     session = as_session(source)
     footrule = session.footrule_statistics(k)
+    rows = minimize_position_assignment(
+        footrule.cost_matrix, k, footrule.backend
+    )
     keys = footrule.keys()
-    assignment, _ = minimize_cost_assignment(footrule.cost_rows())
-    answer = tuple(keys[column] for column in assignment)
+    answer = tuple(keys[row] for row in rows)
     return answer, expected_topk_footrule_distance(session, answer, k)

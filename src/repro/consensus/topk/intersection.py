@@ -13,46 +13,63 @@ Only the last sum depends on ``τ``; maximising
        = Σ_t Σ_{j=1..k} δ(t = τ(j)) Σ_{i=j..k} Pr(r(t) <= i) / i``
 
 is an assignment problem between tuples and positions, solved exactly with
-the Hungarian algorithm.  The paper also proves that ranking tuples by the
-``Υ_H`` parameterized ranking function gives an answer ``τ_H`` with
-``A(τ_H) >= A(τ*) / H_k``, i.e. an ``H_k``-approximation; both are provided
-and the benchmark harness measures the empirical gap.
+the Hungarian algorithm.  The whole ``n × k`` profit table is one product
+of the cumulative rank matrix with the ``k × k`` suffix-harmonic grid, and
+the solver sees only the union of each position's ``k`` most profitable
+tuples (all tuples when ``n <= k²``): a position holding a tuple outside
+its own ``k`` best can always move to one of them that no other position
+uses, at no loss, so the pruned problem keeps the exact optimum
+(:func:`~repro.matching.minimize_position_assignment`).
+
+The paper also proves that ranking tuples by the ``Υ_H`` parameterized
+ranking function gives an answer ``τ_H`` with ``A(τ_H) >= A(τ*) / H_k``,
+i.e. an ``H_k``-approximation; both are provided and the benchmark harness
+measures the empirical gap.  ``Υ_H`` is one matrix-vector product, and its
+``k`` best tuples are selected with
+:func:`~repro.consensus.topk.common.top_keys`, not sorted.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Sequence, Tuple
+from typing import Dict, Hashable, List, Sequence, Tuple
 
 from repro.consensus.topk.common import (
     TopKAnswer,
     TreeOrStatistics,
     as_session,
     rank_matrix_view,
-    validate_k,
+    top_keys,
 )
-from repro.consensus.topk.ranking_functions import upsilon_h
+from repro.consensus.topk.ranking_functions import upsilon_h_weights
+from repro.engine import RankMatrix
 from repro.exceptions import ConsensusError
-from repro.matching import maximize_profit_assignment
+from repro.matching import minimize_position_assignment
+
+
+def _answer_rows(
+    cumulative: RankMatrix, answer: Sequence[Hashable]
+) -> Dict[Hashable, List[float]]:
+    """The cumulative rows of the answer's own tuples."""
+    return {key: cumulative.row(key) for key in set(answer)}
 
 
 def expected_topk_intersection_distance(
     source: TreeOrStatistics, answer: Sequence[Hashable], k: int
 ) -> float:
     """Expected intersection distance between ``answer`` and the random Top-k."""
-    session = as_session(source)
     answer = tuple(answer)
     if len(answer) != k:
         raise ConsensusError(
             f"the candidate answer must have exactly k = {k} items"
         )
-    cumulative = rank_matrix_view(session, k, cumulative=True)
+    cumulative = rank_matrix_view(source, k, cumulative=True)
     totals = cumulative.column_totals()
-    table = cumulative.to_dict()
+    rows = _answer_rows(cumulative, answer)
     total = 0.0
     for i in range(1, k + 1):
         prefix = set(answer[:i])
         value = i + totals[i - 1]
-        value -= 2.0 * sum(table[key][i - 1] for key in prefix)
+        value -= 2.0 * sum(rows[key][i - 1] for key in prefix)
         total += value / (2.0 * i)
     return total / k
 
@@ -61,12 +78,11 @@ def intersection_objective(
     source: TreeOrStatistics, answer: Sequence[Hashable], k: int
 ) -> float:
     """The objective ``A(τ)`` maximised by the mean intersection answer."""
-    session = as_session(source)
-    table = rank_matrix_view(session, k, cumulative=True).to_dict()
+    rows = _answer_rows(rank_matrix_view(source, k, cumulative=True), answer)
     total = 0.0
     for i in range(1, k + 1):
         prefix = answer[:i]
-        total += sum(table[key][i - 1] for key in prefix) / i
+        total += sum(rows[key][i - 1] for key in prefix) / i
     return total
 
 
@@ -76,22 +92,21 @@ def mean_topk_intersection(
     """The exact mean Top-k answer under the intersection metric.
 
     Solved as an assignment problem: placing tuple ``t`` at position ``j``
-    earns profit ``Σ_{i=j..k} Pr(r(t) <= i) / i``.  Returns the optimal
-    answer and its expected intersection distance.
+    earns profit ``Σ_{i=j..k} Pr(r(t) <= i) / i``.  The negated profits
+    ``cost[t][j - 1]`` are one product with the grid ``-1/i`` (``i >= j``,
+    else 0).  Returns the optimal answer and its expected intersection
+    distance.
     """
     session = as_session(source)
     cumulative = rank_matrix_view(session, k, cumulative=True)
+    grid = [
+        [-1.0 / i if i >= j else 0.0 for j in range(1, k + 1)]
+        for i in range(1, k + 1)
+    ]
+    cost = cumulative.backend.matrix_product(cumulative.native, grid)
+    rows = minimize_position_assignment(cost, k, cumulative.backend)
     keys = cumulative.keys()
-    # profit[position j - 1][tuple index]: one weighted row sum per
-    # position, with weights 1/i on the suffix i >= j.
-    harmonic_weights = [1.0 / i for i in range(1, k + 1)]
-    profit = []
-    for j in range(1, k + 1):
-        weights = [0.0] * (j - 1) + harmonic_weights[j - 1 :]
-        row_sums = cumulative.weighted_sums(weights)
-        profit.append([row_sums[key] for key in keys])
-    assignment, _ = maximize_profit_assignment(profit)
-    answer = tuple(keys[column] for column in assignment)
+    answer = tuple(keys[row] for row in rows)
     return answer, expected_topk_intersection_distance(session, answer, k)
 
 
@@ -104,8 +119,7 @@ def approximate_topk_intersection(
     decreasing value, and the expected intersection distance of that answer.
     """
     session = as_session(source)
-    validate_k(session, k)
-    values = upsilon_h(session, k)
-    ordered = sorted(values, key=lambda key: (-values[key], repr(key)))[:k]
-    answer = tuple(ordered)
+    matrix = rank_matrix_view(session, k)
+    values = matrix.weighted_vector(upsilon_h_weights(k))
+    answer = tuple(top_keys(matrix.keys(), values, k))
     return answer, expected_topk_intersection_distance(session, answer, k)

@@ -34,6 +34,7 @@ from repro.consensus.topk.common import (
     TopKAnswer,
     TreeOrStatistics,
     as_session,
+    membership_top_keys,
     validate_k,
 )
 from repro.consensus.topk.footrule import mean_topk_footrule
@@ -91,7 +92,8 @@ def approximate_topk_kendall(
     """Pivot-based approximate mean answer under the Kendall tau distance.
 
     The candidate pool (default: the ``2k`` tuples with the largest
-    ``Pr(r(t) <= k)``, the whole database if smaller) is ordered by KwikSort
+    ``Pr(r(t) <= k)``, the whole database if smaller, selected with
+    :func:`~repro.consensus.topk.common.top_keys`) is ordered by KwikSort
     pivoting on the pairwise probabilities ``Pr(r(t_i) < r(t_j))``, served
     from the session's batched
     :class:`~repro.engine.PairwisePreferenceMatrix` over the pool instead of
@@ -99,13 +101,10 @@ def approximate_topk_kendall(
     answer.
     """
     session = as_session(source)
-    membership = session.top_k_membership(k)
     if candidate_pool_size is None:
-        candidate_pool_size = min(2 * k, len(membership))
+        candidate_pool_size = min(2 * k, session.number_of_tuples())
     candidate_pool_size = max(candidate_pool_size, k)
-    pool = sorted(
-        membership, key=lambda key: (-membership[key], repr(key))
-    )[:candidate_pool_size]
+    pool = membership_top_keys(session, k, candidate_pool_size)
     preferences = session.preference_matrix(pool)
 
     def prefers(first: Hashable, second: Hashable) -> float:

@@ -12,7 +12,7 @@ under the intersection metric.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable
+from typing import Callable, Dict, Hashable, List
 
 from repro.consensus.topk.common import (
     TreeOrStatistics,
@@ -45,13 +45,14 @@ def parameterized_ranking_function(
     return matrix.weighted_sums(weights)
 
 
+def upsilon_h_weights(k: int) -> List[float]:
+    """The position weights ``H_k - H_{i-1}`` (``i = 1..k``) of ``Υ_H``."""
+    h_k = harmonic_number(k)
+    return [h_k - harmonic_number(position - 1) for position in range(1, k + 1)]
+
+
 def upsilon_h(source: TreeOrStatistics, k: int) -> Dict[Hashable, float]:
     """The ``Υ_H`` ranking function: ``Σ_{i=1..k} Pr(r(t) <= i) / i``."""
     session = as_session(source)
     validate_k(session, k)
-    h_k = harmonic_number(k)
-    return parameterized_ranking_function(
-        session,
-        weight=lambda position: h_k - harmonic_number(position - 1),
-        max_rank=k,
-    )
+    return session.rank_matrix(k).weighted_sums(upsilon_h_weights(k))

@@ -5,7 +5,12 @@
   so the mean answer is simply the ``k`` tuples with the largest
   ``Pr(r(t) <= k)``.  This coincides with the Global-Top-k answer and with a
   probabilistic-threshold (PT-k) answer whose threshold is tuned to return
-  exactly ``k`` tuples.
+  exactly ``k`` tuples.  The answer is *selected*, not sorted: the
+  membership column of the rank matrix goes through
+  :func:`~repro.consensus.topk.common.top_keys` (a linear-time partition
+  down to the boundary candidates, then an ordering of only those), and the
+  expected distance reads ``Σ_t Pr(r(t)<=k)`` as an array total plus the
+  ``k`` answer rows.
 * **Theorem 4 (median answer)** -- the median answer is the Top-k answer of a
   possible world maximising ``Σ_{t in τ} Pr(r(t) <= k)``.  For every score
   threshold ``a`` the candidate answers are exactly the size-``k`` possible
@@ -31,7 +36,9 @@ from repro.consensus.topk.common import (
     TopKAnswer,
     TreeOrStatistics,
     as_session,
+    membership_top_keys,
     order_by_score,
+    rank_matrix_view,
 )
 from repro.core.tuples import TupleAlternative
 from repro.exceptions import ConsensusError, InfeasibleAnswerError, ModelError
@@ -51,19 +58,16 @@ def expected_topk_symmetric_difference(
     """Expected symmetric difference between ``answer`` and the random Top-k.
 
     Uses the closed form of Theorem 3's proof; the normalised version divides
-    by ``2k``.
+    by ``2k``.  ``Σ_t Pr(r(t) <= k)`` is the sum of the rank matrix's
+    column totals; only the answer's own rows are read per key.
     """
-    session = as_session(source)
-    answer_set = set(answer)
-    membership = session.top_k_membership(k)
-    for key in answer_set:
-        if key not in membership:
+    matrix = rank_matrix_view(source, k)
+    chosen = 0.0
+    for key in set(answer):
+        if key not in matrix:
             raise ConsensusError(f"answer mentions unknown tuple {key!r}")
-    total = (
-        k
-        + sum(membership.values())
-        - 2.0 * sum(membership[key] for key in answer_set)
-    )
+        chosen += sum(matrix.row(key))
+    total = k + sum(matrix.column_totals()) - 2.0 * chosen
     if normalized:
         return total / (2.0 * k)
     return total
@@ -79,11 +83,7 @@ def mean_topk_symmetric_difference(
     normalised distance.
     """
     session = as_session(source)
-    membership = session.top_k_membership(k)
-    chosen = sorted(
-        membership, key=lambda key: (-membership[key], repr(key))
-    )[:k]
-    answer = order_by_score(session, chosen)
+    answer = order_by_score(session, membership_top_keys(session, k, k))
     return answer, expected_topk_symmetric_difference(session, answer, k)
 
 
@@ -154,61 +154,53 @@ def _best_worlds_by_size(
 
 
 def _median_topk_tuple_independent(
-    layout: Sequence[Tuple[Hashable, float, float]],
+    rows: Sequence[Tuple[float, float, Hashable]],
     membership: Dict[Hashable, float],
     k: int,
-) -> Optional[List[Hashable]]:
+) -> Optional[List[int]]:
     """O(n log k) median Top-k answer for tuple-independent databases.
 
-    ``layout`` lists ``(key, presence probability, score)`` sorted by
+    ``rows`` lists ``(score, presence probability, key)`` sorted by
     decreasing score.  Fixing the answer's lowest-scored member ``t_j``, the
     other ``k - 1`` members come from the higher-scored tuples: tuples with
     probability one are forced in (they cannot be absent from any world), the
-    rest are chosen greedily by ``Pr(r(t) <= k)``.  Returns None when no
-    possible world has ``k`` tuples.
+    rest are chosen greedily by ``Pr(r(t) <= k)``.  Returns the members' row
+    indices, or None when no possible world has ``k`` tuples.
     """
     import heapq
 
     best_value = _NEG_INF
-    best_members: Optional[List[Hashable]] = None
-    forced: List[Hashable] = []
+    best_members: Optional[List[int]] = None
+    forced: List[int] = []
     forced_value = 0.0
-    # Min-heap over (membership value, key) of the currently selected
+    # Min-heap over (membership value, row) of the currently selected
     # optional members; it always holds exactly min(slots, available) items.
-    heap: List[Tuple[float, int, Hashable]] = []
+    heap: List[Tuple[float, int]] = []
     heap_value = 0.0
-    counter = 0
-    for j, (key, probability, _) in enumerate(layout):
+    for j, (_, probability, key) in enumerate(rows):
         slots = k - 1 - len(forced)
         if slots < 0:
             break  # more certain higher-scored tuples than free slots
         # Shrink the optional selection if forced members ate its slots.
         while len(heap) > slots:
-            value, _, _ = heapq.heappop(heap)
+            value, _ = heapq.heappop(heap)
             heap_value -= value
         if probability > 0.0 and j >= k - 1 and len(heap) == slots:
             candidate_value = membership[key] + forced_value + heap_value
             if candidate_value > best_value + 1e-15:
                 best_value = candidate_value
-                best_members = (
-                    [key]
-                    + list(forced)
-                    + [item_key for _, _, item_key in heap]
-                )
+                best_members = [j] + forced + [row for _, row in heap]
         # Add the current tuple to the pool available to later thresholds.
         if probability >= 1.0 - 1e-12:
-            forced.append(key)
+            forced.append(j)
             forced_value += membership[key]
         elif probability > 0.0:
             slots = k - 1 - len(forced)
-            counter += 1
             if len(heap) < slots:
-                heapq.heappush(heap, (membership[key], counter, key))
+                heapq.heappush(heap, (membership[key], j))
                 heap_value += membership[key]
             elif heap and membership[key] > heap[0][0]:
-                removed, _, _ = heapq.heapreplace(
-                    heap, (membership[key], counter, key)
-                )
+                removed, _ = heapq.heapreplace(heap, (membership[key], j))
                 heap_value += membership[key] - removed
     return best_members
 
@@ -225,22 +217,22 @@ def median_topk_symmetric_difference(
     possible world, and no possible world has a better Top-k answer.
 
     Tuple-independent databases are detected automatically and solved with
-    the ``O(n log k)`` sweep described in the module docstring.
+    the ``O(n log k)`` sweep described in the module docstring, straight
+    over the session's score-sorted columns
+    (:meth:`~repro.session.QuerySession.independent_tuple_rows`).
     """
     session = as_session(source)
     membership = session.top_k_membership(k)
-    layout = session.independent_tuple_layout()
-    if layout is not None:
-        members = _median_topk_tuple_independent(layout, membership, k)
+    rows = session.independent_tuple_rows()
+    if rows is not None:
+        members = _median_topk_tuple_independent(rows, membership, k)
         if members is None:
             raise InfeasibleAnswerError(
                 f"no possible world contains {k} tuples; the median Top-{k} "
                 "answer does not exist"
             )
-        score_of = {key: score for key, _, score in layout}
-        ordered = tuple(
-            sorted(members, key=lambda key: -score_of[key])
-        )
+        # Rows run in decreasing score order, so row order is score order.
+        ordered = tuple(rows[j][2] for j in sorted(members))
         return ordered, expected_topk_symmetric_difference(
             session, ordered, k
         )

@@ -25,6 +25,7 @@ depend on it without cycles.
 
 from __future__ import annotations
 
+import heapq as _heapq
 import random as _random
 from bisect import bisect_right as _bisect_right
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -312,6 +313,39 @@ class Backend:
         """
         raise NotImplementedError
 
+    def matrix_product(
+        self, matrix: Any, grid: Sequence[Sequence[float]]
+    ) -> Any:
+        """``matrix @ grid`` for a native ``n × k`` matrix and a small
+        ``k × m`` grid given as rows; the result is native ``n × m``.
+
+        The intersection consensus builds its whole assignment profit
+        table this way: one product of the cumulative rank matrix with
+        the ``k × k`` suffix-harmonic grid.
+        """
+        raise NotImplementedError
+
+    # -- selection kernels ---------------------------------------------------
+    def top_candidates(
+        self, values: Sequence[float], count: int
+    ) -> Sequence[int]:
+        """Indices that may be among the ``count`` largest ``values``.
+
+        Every index whose value is at least the ``count``-th largest value
+        is returned, so ties at the boundary stay in and the caller's tie
+        rule (:func:`repro.consensus.topk.common.top_keys`) decides among
+        them.  ``values`` is a native vector or any float sequence.
+        """
+        raise NotImplementedError
+
+    def smallest_rows_per_column(self, matrix: Any, count: int) -> List[int]:
+        """Increasing row indices: the union over the columns of a native
+        matrix of the ``count`` rows holding each column's smallest values
+        (ties broken arbitrarily).  Candidate generation for the pruned
+        Top-k assignment (:func:`repro.matching.minimize_position_assignment`).
+        """
+        raise NotImplementedError
+
     # -- native matrix helpers ----------------------------------------------
     def matrix_from_rows(self, rows: Sequence[Sequence[float]]) -> Any:
         """Pack per-key coefficient rows into the backend-native layout."""
@@ -355,16 +389,21 @@ class Backend:
         """Sum of a vector's entries."""
         raise NotImplementedError
 
-    def row_sums(self, matrix: Any) -> List[float]:
-        """Per-row totals of a native matrix."""
+    def row_sums(self, matrix: Any) -> Any:
+        """Per-row totals of a native matrix, as a native vector."""
         raise NotImplementedError
 
     def column_sums(self, matrix: Any) -> List[float]:
         """Per-column totals of a native matrix."""
         raise NotImplementedError
 
-    def matvec(self, matrix: Any, weights: Sequence[float]) -> List[float]:
-        """Per-row weighted sums ``Σ_j matrix[i][j] * weights[j]``."""
+    def matvec(self, matrix: Any, weights: Sequence[float]) -> Any:
+        """Per-row weighted sums ``Σ_j matrix[i][j] * weights[j]``, as a
+        native vector."""
+        raise NotImplementedError
+
+    def vector_to_list(self, vector: Any) -> List[float]:
+        """A native vector as a list of Python floats."""
         raise NotImplementedError
 
     def matrix_to_lists(self, matrix: Any) -> List[List[float]]:
@@ -687,6 +726,34 @@ class PurePythonBackend(Backend):
             )
         return rows
 
+    def matrix_product(
+        self, matrix: List[List[float]], grid: Sequence[Sequence[float]]
+    ) -> List[List[float]]:
+        columns = list(zip(*grid))
+        return [
+            [sum(a * b for a, b in zip(row, column)) for column in columns]
+            for row in matrix
+        ]
+
+    def top_candidates(
+        self, values: Sequence[float], count: int
+    ) -> Sequence[int]:
+        # No cheap threshold without a selection kernel: every index is a
+        # candidate and the caller's heap selection does the work.
+        return range(len(values)) if count > 0 else range(0)
+
+    def smallest_rows_per_column(
+        self, matrix: List[List[float]], count: int
+    ) -> List[int]:
+        rows: set = set()
+        for column in range(len(matrix[0]) if matrix else 0):
+            rows.update(
+                _heapq.nsmallest(
+                    count, range(len(matrix)), key=lambda r: matrix[r][column]
+                )
+            )
+        return sorted(rows)
+
     def matrix_from_rows(
         self, rows: Sequence[Sequence[float]]
     ) -> List[List[float]]:
@@ -753,6 +820,9 @@ class PurePythonBackend(Backend):
             sum(value * weight for value, weight in zip(row, weights))
             for row in matrix
         ]
+
+    def vector_to_list(self, vector: Sequence[float]) -> List[float]:
+        return list(vector)
 
     def matrix_to_lists(
         self, matrix: List[List[float]]
@@ -1144,6 +1214,29 @@ class NumpyBackend(Backend):
         cost += (upsilon2 - 2.0 * (k + 1.0) * upsilon1)[:, None]
         return cost
 
+    def matrix_product(
+        self, matrix: Any, grid: Sequence[Sequence[float]]
+    ) -> Any:
+        return matrix @ _np.asarray(grid, dtype=_np.float64)
+
+    def top_candidates(self, values: Sequence[float], count: int) -> Any:
+        values = _np.asarray(values, dtype=_np.float64)
+        size = len(values)
+        if count <= 0:
+            return range(0)
+        if count >= size:
+            return range(size)
+        # The count-th largest value, found in O(n); every index at or
+        # above it is a candidate, so boundary ties stay in.
+        threshold = _np.partition(values, size - count)[size - count]
+        return _np.flatnonzero(values >= threshold).tolist()
+
+    def smallest_rows_per_column(self, matrix: Any, count: int) -> List[int]:
+        if count >= matrix.shape[0]:
+            return list(range(matrix.shape[0]))
+        best = _np.argpartition(matrix, count - 1, axis=0)[:count]
+        return _np.unique(best).tolist()
+
     def matrix_from_rows(self, rows: Sequence[Sequence[float]]) -> Any:
         return _np.asarray(rows, dtype=_np.float64)
 
@@ -1174,14 +1267,17 @@ class NumpyBackend(Backend):
     def vector_sum(self, values: Sequence[float]) -> float:
         return float(_np.asarray(values, dtype=_np.float64).sum())
 
-    def row_sums(self, matrix: Any) -> List[float]:
-        return matrix.sum(axis=1).tolist()
+    def row_sums(self, matrix: Any) -> Any:
+        return matrix.sum(axis=1)
 
     def column_sums(self, matrix: Any) -> List[float]:
         return matrix.sum(axis=0).tolist()
 
-    def matvec(self, matrix: Any, weights: Sequence[float]) -> List[float]:
-        return (matrix @ _np.asarray(weights, dtype=_np.float64)).tolist()
+    def matvec(self, matrix: Any, weights: Sequence[float]) -> Any:
+        return matrix @ _np.asarray(weights, dtype=_np.float64)
+
+    def vector_to_list(self, vector: Any) -> List[float]:
+        return _np.asarray(vector, dtype=_np.float64).tolist()
 
     def matrix_to_lists(self, matrix: Any) -> List[List[float]]:
         return matrix.tolist()

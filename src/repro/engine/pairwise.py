@@ -90,7 +90,14 @@ class PairwisePreferenceMatrix:
     def borda_scores(self) -> Dict[Hashable, float]:
         """``Σ_j Pr(r(t_i) < r(t_j))`` per key -- the Borda-style totals
         used to pick deterministic pivots."""
-        return dict(zip(self._keys, self._backend.row_sums(self._matrix)))
+        return dict(
+            zip(
+                self._keys,
+                self._backend.vector_to_list(
+                    self._backend.row_sums(self._matrix)
+                ),
+            )
+        )
 
     def to_dict(self) -> Dict[Tuple[Hashable, Hashable], float]:
         """The matrix as the legacy per-ordered-pair dictionary."""

@@ -87,13 +87,16 @@ class RankMatrix:
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------
-    def row(self, key: Hashable) -> List[float]:
-        """``[Pr(r(t) = 1), ..., Pr(r(t) = max_rank)]`` for one tuple key."""
+    def position(self, key: Hashable) -> int:
+        """The row index of one tuple key (``KeyError`` if unknown)."""
         try:
-            position = self._index[key]
+            return self._index[key]
         except KeyError:
             raise KeyError(f"unknown tuple key {key!r}") from None
-        return self._backend.matrix_row(self._matrix, position)
+
+    def row(self, key: Hashable) -> List[float]:
+        """``[Pr(r(t) = 1), ..., Pr(r(t) = max_rank)]`` for one tuple key."""
+        return self._backend.matrix_row(self._matrix, self.position(key))
 
     def column(self, position: int) -> List[float]:
         """Per-key probabilities of one rank position (1-based)."""
@@ -153,24 +156,36 @@ class RankMatrix:
             key_index=self._index,
         )
 
-    def membership(self) -> Dict[Hashable, float]:
-        """``Pr(r(t) <= max_rank)`` per key.
+    def membership_vector(self) -> Any:
+        """``Pr(r(t) <= max_rank)`` as a native vector aligned with
+        :meth:`keys`.
 
-        Row sums on a density matrix, the last column on a cumulative one --
-        both views answer the same question.
+        Row sums on a density matrix, the last column on a cumulative one
+        (a unit-weight product, exact) -- both views answer the same
+        question.
         """
-        if self._cumulative:
-            if self._max_rank < 1:
-                return {key: 0.0 for key in self._keys}
-            return dict(zip(self._keys, self.column(self._max_rank)))
-        return dict(zip(self._keys, self._backend.row_sums(self._matrix)))
+        if self._cumulative and self._max_rank >= 1:
+            weights = [0.0] * self._max_rank
+            weights[-1] = 1.0
+            return self._backend.matvec(self._matrix, weights)
+        return self._backend.row_sums(self._matrix)
+
+    def membership(self) -> Dict[Hashable, float]:
+        """``Pr(r(t) <= max_rank)`` per key (:meth:`membership_vector`)."""
+        return dict(
+            zip(
+                self._keys,
+                self._backend.vector_to_list(self.membership_vector()),
+            )
+        )
 
     def column_totals(self) -> List[float]:
         """``Σ_t`` of every column (e.g. ``Σ_t Pr(r(t) <= i)``)."""
         return self._backend.column_sums(self._matrix)
 
-    def weighted_sums(self, weights: Sequence[float]) -> Dict[Hashable, float]:
-        """``Σ_i weights[i-1] * matrix[t][i-1]`` per key.
+    def weighted_vector(self, weights: Sequence[float]) -> Any:
+        """``Σ_i weights[i-1] * matrix[t][i-1]`` as a native vector aligned
+        with :meth:`keys`.
 
         This evaluates a parameterized ranking function ``Υ_ω`` for every
         tuple in one matrix-vector product.
@@ -179,8 +194,15 @@ class RankMatrix:
             raise ValueError(
                 f"expected {self._max_rank} weights, got {len(weights)}"
             )
+        return self._backend.matvec(self._matrix, weights)
+
+    def weighted_sums(self, weights: Sequence[float]) -> Dict[Hashable, float]:
+        """:meth:`weighted_vector` per key."""
         return dict(
-            zip(self._keys, self._backend.matvec(self._matrix, weights))
+            zip(
+                self._keys,
+                self._backend.vector_to_list(self.weighted_vector(weights)),
+            )
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

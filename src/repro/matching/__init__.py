@@ -9,11 +9,15 @@ helpers; the package-level :func:`minimize_cost_assignment` /
 :func:`maximize_profit_assignment` entry points additionally route through
 SciPy's ``linear_sum_assignment`` when it is importable and the NumPy
 compute backend is active (see :mod:`repro.matching.assignment`).
+:func:`minimize_position_assignment` is the Top-k form the consensus
+kernels call: a native ``n × k`` cost table, pruned to the few tuples that
+can appear in an optimum before either solver runs.
 """
 
 from repro.matching.assignment import (
     maximize_profit_assignment,
     minimize_cost_assignment,
+    minimize_position_assignment,
     scipy_solver_available,
 )
 from repro.matching.bipartite import (
@@ -24,6 +28,7 @@ from repro.matching.bipartite import (
 __all__ = [
     "minimize_cost_assignment",
     "maximize_profit_assignment",
+    "minimize_position_assignment",
     "scipy_solver_available",
     "BipartiteGraph",
     "maximum_cardinality_matching",

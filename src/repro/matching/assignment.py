@@ -12,6 +12,17 @@ rectangular assignment problem.  Two exact solvers are available:
 
 Both solvers are exact, so any optimum they return has the same total
 cost; ties between distinct optimal assignments may be broken differently.
+
+Top-k assignments (:func:`minimize_position_assignment`) place ``k``
+positions among ``n`` tuples, usually ``n >> k``.  They are pruned first,
+by this lemma: let ``B_i`` be any ``k`` tuples of least cost for position
+``i``.  If an optimal assignment gives position ``i`` a tuple outside
+``B_i``, the other ``k - 1`` positions hold at most ``k - 1`` members of
+``B_i``, so some member is free; it costs ``i`` no more than the tuple it
+replaces (every member of ``B_i`` costs at most what any non-member
+costs), so moving ``i`` there keeps the assignment optimal.  Repeating the
+move for every position yields an optimum inside ``∪_i B_i``, at most
+``k²`` tuples, so solving over that union reaches the exact optimal cost.
 The dispatch preserves the reference contract (``rows <= cols``, every row
 assigned to a distinct column, :class:`~repro.exceptions.MatchingError` on
 malformed input) and is parity-tested against the Hungarian solver in
@@ -20,9 +31,9 @@ malformed input) and is parity-tested against the Hungarian solver in
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
-from repro.engine import get_backend
+from repro.engine import Backend, get_backend
 from repro.exceptions import MatchingError
 from repro.matching import hungarian as _hungarian
 
@@ -86,3 +97,27 @@ def maximize_profit_assignment(
     negated = [[-value for value in row] for row in profit]
     assignment, negative_total = minimize_cost_assignment(negated)
     return assignment, -negative_total
+
+
+def minimize_position_assignment(
+    cost: Any, positions: int, backend: Backend
+) -> List[int]:
+    """Optimal Top-k assignment over a native ``n × positions`` cost table.
+
+    ``cost[t][i]`` is the cost of placing tuple row ``t`` at position
+    ``i + 1``; the result lists the row placed at each position.  When
+    ``n > positions²`` only the union of each position's ``positions``
+    cheapest rows reaches the solver (the pruning lemma in the module
+    docstring), which keeps the optimal cost exact while the solver sees
+    at most ``positions²`` columns; candidate rows keep their relative
+    order.
+    """
+    count = len(cost)
+    if count > positions * positions:
+        rows = backend.smallest_rows_per_column(cost, positions)
+        cost = backend.take_rows(cost, rows)
+    else:
+        rows = list(range(count))
+    table = backend.matrix_to_lists(backend.transpose(cost))
+    assignment, _ = minimize_cost_assignment(table)
+    return [rows[column] for column in assignment]

@@ -435,6 +435,28 @@ class QuerySession:
         databases (sorted by decreasing score), else None."""
         return self.statistics.independent_tuple_layout()
 
+    def independent_tuple_rows(
+        self,
+    ) -> Optional[Sequence[Tuple[float, float, Hashable]]]:
+        """``(score, probability, key)`` rows of a tuple-independent
+        database in decreasing score order, else None.
+
+        The rows are shared, memoized per generation (the sharded
+        coordinator serves its merged layout's own score stream), so
+        callers must not mutate them.
+        """
+
+        def compute() -> Any:
+            layout = self.independent_tuple_layout()
+            if layout is None:
+                return None
+            return [
+                (score, probability, key)
+                for key, probability, score in layout
+            ]
+
+        return self._memoized("independent_tuple_rows", (), compute)
+
     def _validate_k(self, k: int) -> int:
         # Lazy import: common imports this module at load time, so the
         # shared validator (one source of truth for the rule and its error

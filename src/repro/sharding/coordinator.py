@@ -47,6 +47,7 @@ fallbacks (:attr:`ShardedQuerySession.tree`, world sampling, ...).
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import OrderedDict
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
@@ -71,7 +72,8 @@ class _MergedLayout:
         "best_score",
         "triples",
         "independent",
-        "key_to_source",
+        "key_to_shard",
+        "sources",
         "grid_scores",
     )
 
@@ -83,7 +85,7 @@ class _MergedLayout:
         best_score: Dict[Hashable, float],
         triples: List[Tuple[float, float, Hashable]],
         independent: bool,
-        key_to_source: Dict[Hashable, Any],
+        key_to_shard: Dict[Hashable, int],
         grid_scores: List[float],
     ) -> None:
         self.keys_order = keys_order
@@ -92,7 +94,12 @@ class _MergedLayout:
         self.best_score = best_score
         self.triples = triples
         self.independent = independent
-        self.key_to_source = key_to_source
+        #: Key -> position of its shard among the non-empty shards.
+        self.key_to_shard = key_to_shard
+        #: The shards' sources at this layout's version, filled on first
+        #: use; a patched layout starts empty, so it never carries a
+        #: superseded generation forward.
+        self.sources: Optional[List[Any]] = None
         self.grid_scores = grid_scores
 
 
@@ -498,7 +505,15 @@ class ShardedQuerySession(QuerySession):
     def _remember_layout(
         self, fragments: List[Tuple[Any, Any]], layout: _MergedLayout
     ) -> _MergedLayout:
-        self._last_fragments = [fragment for fragment, _ in fragments]
+        # The patch base keeps each shard's key and score columns and only
+        # a weak reference to its layout: holding the layouts would pin
+        # superseded shard generations for as long as this coordinator is
+        # not asked to merge again.
+        self._last_fragments = [
+            (weakref.ref(fragment), fragment.independent, fragment.scores,
+             fragment.keys)
+            for fragment, _ in fragments
+        ]
         self._last_layout = layout
         return layout
 
@@ -521,25 +536,26 @@ class ShardedQuerySession(QuerySession):
             or len(fragments) != len(cached)
         ):
             return None
-        changed: List[Tuple[Any, Any, Any]] = []
-        for index, (fragment, provider) in enumerate(fragments):
-            old = cached[index]
-            if fragment is old:
+        changed: List[Any] = []
+        for (fragment, _), (old, independent, scores, keys) in zip(
+            fragments, cached
+        ):
+            if fragment is old():
                 continue
             if (
-                fragment.independent != old.independent
-                or fragment.scores != old.scores
-                or fragment.keys != old.keys
+                fragment.independent != independent
+                or fragment.scores != scores
+                or fragment.keys != keys
             ):
                 return None
-            changed.append((fragment, old, provider))
+            changed.append(fragment)
         if not changed:
             return previous
         backend = get_backend()
         presence = dict(previous.presence)
         alternatives = dict(previous.alternatives)
         triples = list(previous.triples)
-        for fragment, _, provider in changed:
+        for fragment in changed:
             presence.update(fragment.presence)
             alternatives.update(fragment.alternatives)
             # A shard's scores are a subsequence of the (unchanged) grid,
@@ -559,7 +575,7 @@ class ShardedQuerySession(QuerySession):
             previous.best_score,
             triples,
             previous.independent,
-            previous.key_to_source,
+            previous.key_to_shard,
             previous.grid_scores,
         )
 
@@ -572,11 +588,11 @@ class ShardedQuerySession(QuerySession):
         presence: Dict[Hashable, float] = {}
         alternatives: Dict[Hashable, List[Tuple[float, float]]] = {}
         best_score: Dict[Hashable, float] = {}
-        key_to_source: Dict[Hashable, Any] = {}
+        key_to_shard: Dict[Hashable, int] = {}
         independent = True
         per_shard_triples: List[List[Tuple[float, float, Hashable]]] = []
         total = 0
-        for fragment, provider in fragments:
+        for position, (fragment, _) in enumerate(fragments):
             independent = independent and fragment.independent
             per_shard_triples.append(fragment.key_triples)
             # Bulk dictionary merges: the per-shard fragments are memoized
@@ -586,9 +602,7 @@ class ShardedQuerySession(QuerySession):
             presence.update(fragment.presence)
             alternatives.update(fragment.alternatives)
             best_score.update(fragment.best_score)
-            key_to_source.update(
-                dict.fromkeys(fragment.keys, provider)
-            )
+            key_to_shard.update(dict.fromkeys(fragment.keys, position))
             total += len(fragment.keys)
         if len(presence) != total:
             counts: Dict[Hashable, int] = {}
@@ -636,7 +650,7 @@ class ShardedQuerySession(QuerySession):
                 best_score,
                 triples,
                 independent,
-                key_to_source,
+                key_to_shard,
                 [score for score, _, _ in triples],
             ),
         )
@@ -685,10 +699,13 @@ class ShardedQuerySession(QuerySession):
         return len(self._layout().keys_order)
 
     def _source_of(self, key: Hashable) -> Any:
-        source = self._layout().key_to_source.get(key)
-        if source is None:
+        layout = self._layout()
+        position = layout.key_to_shard.get(key)
+        if position is None:
             raise ModelError(f"unknown tuple key {key!r}")
-        return source
+        if layout.sources is None:
+            layout.sources = [source for _, source in self._shard_fragments()]
+        return layout.sources[position]
 
     def score_of(self, alternative: TupleAlternative) -> float:
         return self._source_of(alternative.key).score_of(alternative)
@@ -724,6 +741,13 @@ class ShardedQuerySession(QuerySession):
             (key, probability, score)
             for score, probability, key in layout.triples
         ]
+
+    def independent_tuple_rows(
+        self,
+    ) -> Optional[Sequence[Tuple[float, float, Hashable]]]:
+        """The merged layout's own decreasing-score stream (no copy)."""
+        layout = self._layout()
+        return layout.triples if layout.independent else None
 
     # ------------------------------------------------------------------
     # Merged statistics artifacts

@@ -43,9 +43,12 @@ class ShardLayout:
     id per alternative.  The dictionaries and triple lists beside the
     columns are derived from them once per layout.  This is everything the
     coordinator reads of a shard: the merged key space, the score grid and,
-    through :meth:`summary`, one memoized :class:`ShardRankSummary` per
-    truncation (for tuple-independent shards, the prefix count-polynomial
-    table).
+    through :meth:`summary`, a :class:`ShardRankSummary` per truncation
+    over tables memoized here (for tuple-independent shards, the prefix
+    count-polynomial table).  The layout memoizes the tables, not the
+    summaries: a summary references its layout, so caching summaries here
+    would make every layout a reference cycle that outlives its
+    supersession until the cycle collector runs.
 
     Layouts are immutable.  An update builds the next one with
     :meth:`replaced`; :meth:`adopt_tables` then lets it resume the previous
@@ -65,10 +68,11 @@ class ShardLayout:
         "key_triples",
         "scores",
         "_lock",
-        "_summaries",
+        "_tables",
         "_bases",
         "_hits",
         "_misses",
+        "__weakref__",
     )
 
     def __init__(self, session: Any) -> None:
@@ -182,8 +186,8 @@ class ShardLayout:
 
     def _init_caches(self) -> None:
         self._lock = threading.Lock()
-        #: (backend name, max_rank) -> summary.
-        self._summaries: Dict[Tuple[str, int], ShardRankSummary] = {}
+        #: (backend name, max_rank) -> memoized summary tables.
+        self._tables: Dict[Tuple[str, int], _SummaryTables] = {}
         #: (backend name, max_rank) -> (earlier table, first stale row).
         self._bases: Dict[Tuple[str, int], Tuple[Any, int]] = {}
         self._hits = 0
@@ -278,36 +282,36 @@ class ShardLayout:
                 key: (table, min(row, start))
                 for key, (table, row) in previous._bases.items()
             }
-            for key, summary in previous._summaries.items():
-                bases[key] = (summary._prefix_table, start)
+            for key, tables in previous._tables.items():
+                bases[key] = (tables.prefix, start)
         with self._lock:
             for key, base in bases.items():
-                if key not in self._summaries:
+                if key not in self._tables:
                     self._bases.setdefault(key, base)
 
     # ------------------------------------------------------------------
     # Summaries
     # ------------------------------------------------------------------
     def summary(self, max_rank: int) -> "ShardRankSummary":
-        """The memoized :class:`ShardRankSummary` at one truncation."""
+        """The :class:`ShardRankSummary` at one truncation, over memoized
+        tables (every call's summary shares them)."""
         backend = get_backend()
         max_rank = max(int(max_rank), 1)
         key = (backend.name, max_rank)
         with self._lock:
-            summary = self._summaries.get(key)
-            if summary is not None:
+            tables = self._tables.get(key)
+            if tables is not None:
                 self._hits += 1
-                return summary
-            self._misses += 1
-            table = None
-            if self.independent:
-                base = self._bases.pop(key, (None, 0))
-                table = backend.prefix_count_polynomials(
-                    self.probabilities, max_rank, *base
-                )
-            summary = ShardRankSummary.from_layout(self, max_rank, table)
-            self._summaries[key] = summary
-            return summary
+            else:
+                self._misses += 1
+                table = None
+                if self.independent:
+                    base = self._bases.pop(key, (None, 0))
+                    table = backend.prefix_count_polynomials(
+                        self.probabilities, max_rank, *base
+                    )
+                tables = self._tables[key] = _SummaryTables(table)
+        return ShardRankSummary._over(self, max_rank, tables)
 
     def cache_info(self) -> CacheInfo:
         """Hit/miss counters of the per-truncation summaries."""
@@ -315,7 +319,7 @@ class ShardLayout:
             return CacheInfo(
                 hits=self._hits,
                 misses=self._misses,
-                entries=len(self._summaries),
+                entries=len(self._tables),
                 backend=get_backend().name,
                 artifacts={
                     "rank_partials": ArtifactCounters(
@@ -447,6 +451,24 @@ def shard_layout(session: Any) -> ShardLayout:
     )
 
 
+class _SummaryTables:
+    """The memoized tables behind one truncation of one layout.
+
+    Shared by every :class:`ShardRankSummary` the layout hands out at that
+    truncation; holds no reference back to the layout or a summary.
+    """
+
+    __slots__ = ("prefix", "dense", "blocks", "excluding", "neg_scores")
+
+    def __init__(self, prefix: Any = None) -> None:
+        self.prefix = prefix
+        self.dense: Any = None
+        self.blocks: Dict[int, List[float]] = {}
+        self.excluding: Dict[Tuple[int, int], List[float]] = {}
+        # Ascending negated scores make "number of scores > θ" a bisect.
+        self.neg_scores: Optional[List[float]] = None
+
+
 class ShardRankSummary:
     """Truncated rank-polynomial summary of one database shard.
 
@@ -463,17 +485,7 @@ class ShardRankSummary:
     """
 
     def __init__(self, session: Any, max_rank: int) -> None:
-        self._session = session
-        self._max_rank = max(int(max_rank), 1)
-        self._backend = get_backend()
-        self._layout = shard_layout(session)
-        self._prefix_table: Any = None
-        self._block_polynomials: Dict[int, List[float]] = {}
-        self._excluding_polynomials: Dict[Tuple[int, int], List[float]] = {}
-        # Ascending negated scores make "number of scores > θ" a bisect.
-        self._neg_scores: List[float] = [
-            -score for score in self._layout.scores
-        ]
+        self._bind(shard_layout(session), max_rank, _SummaryTables())
 
     @classmethod
     def from_layout(
@@ -493,16 +505,23 @@ class ShardRankSummary:
         probabilities -- identical coefficients, just without reusing the
         worker's sweep.
         """
+        return cls._over(layout, max_rank, _SummaryTables(prefix_table))
+
+    @classmethod
+    def _over(
+        cls, layout: ShardLayout, max_rank: int, tables: _SummaryTables
+    ) -> "ShardRankSummary":
         self = cls.__new__(cls)
-        self._session = None
+        self._bind(layout, max_rank, tables)
+        return self
+
+    def _bind(
+        self, layout: ShardLayout, max_rank: int, tables: _SummaryTables
+    ) -> None:
         self._max_rank = max(int(max_rank), 1)
         self._backend = get_backend()
         self._layout = layout
-        self._prefix_table = prefix_table
-        self._block_polynomials = {}
-        self._excluding_polynomials = {}
-        self._neg_scores = [-score for score in layout.scores]
-        return self
+        self._tables = tables
 
     # ------------------------------------------------------------------
     # Introspection
@@ -554,7 +573,10 @@ class ShardRankSummary:
     # ------------------------------------------------------------------
     def prefix_index(self, threshold: float) -> int:
         """Number of shard alternatives scoring strictly above ``threshold``."""
-        return bisect_left(self._neg_scores, -threshold)
+        tables = self._tables
+        if tables.neg_scores is None:
+            tables.neg_scores = [-score for score in self._layout.scores]
+        return bisect_left(tables.neg_scores, -threshold)
 
     def prefix_indices(self, thresholds_desc: List[float]) -> List[int]:
         """:meth:`prefix_index` for a decreasing threshold sequence.
@@ -580,11 +602,12 @@ class ShardRankSummary:
                 "the dense prefix table exists only for tuple-independent "
                 "shards; use count_above() on block-independent shards"
             )
-        if self._prefix_table is None:
-            self._prefix_table = self._backend.prefix_count_polynomials(
+        tables = self._tables
+        if tables.prefix is None:
+            tables.prefix = self._backend.prefix_count_polynomials(
                 self._layout.probabilities, self._max_rank
             )
-        return self._prefix_table
+        return tables.prefix
 
     def _block_masses(self, prefix: int) -> Dict[int, float]:
         """Per-block probability mass among the first ``prefix`` alternatives."""
@@ -603,7 +626,7 @@ class ShardRankSummary:
         """
         if self._layout.independent:
             return self._backend.matrix_row(self.prefix_table, prefix)
-        cached = self._block_polynomials.get(prefix)
+        cached = self._tables.blocks.get(prefix)
         if cached is None:
             masses = self._block_masses(prefix)
             cached = _pad(
@@ -613,7 +636,7 @@ class ShardRankSummary:
                 ),
                 self._max_rank,
             )
-            self._block_polynomials[prefix] = cached
+            self._tables.blocks[prefix] = cached
         return cached
 
     def count_above(self, threshold: float) -> List[float]:
@@ -637,14 +660,15 @@ class ShardRankSummary:
         """
         if self._layout.independent:
             return self.prefix_table
-        if getattr(self, "_dense_table", None) is None:
-            self._dense_table = self._backend.matrix_from_rows(
+        tables = self._tables
+        if tables.dense is None:
+            tables.dense = self._backend.matrix_from_rows(
                 [
                     self.prefix_polynomial(prefix)
                     for prefix in range(len(self._layout.scores) + 1)
                 ]
             )
-        return self._dense_table
+        return tables.dense
 
     def aligned_count_table(
         self, grid_scores_desc: List[float], indices: Optional[List[int]] = None
@@ -678,7 +702,7 @@ class ShardRankSummary:
             # threshold, so the prefix cannot contain the excluded key.
             return self._backend.matrix_row(self.prefix_table, prefix)
         cache_key = (prefix, block)
-        cached = self._excluding_polynomials.get(cache_key)
+        cached = self._tables.excluding.get(cache_key)
         if cached is None:
             masses = self._block_masses(prefix)
             masses.pop(block, None)
@@ -689,7 +713,7 @@ class ShardRankSummary:
                 ),
                 self._max_rank,
             )
-            self._excluding_polynomials[cache_key] = cached
+            self._tables.excluding[cache_key] = cached
         return cached
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

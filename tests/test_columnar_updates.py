@@ -12,7 +12,9 @@ suite holds that path to a from-scratch build:
   ``ti_mixed`` query kinds against an unsharded connection to 1e-9;
 * the columns built from units equal the ones read off the shard's tree;
 * no shard tree is built on the tuple-independent update and query path;
-* cached answers do not keep superseded shard state alive.
+* cached answers do not keep superseded shard state alive, and superseded
+  columns, summaries, snapshot readers and footrule tables are freed by
+  reference counting alone (no reference cycle holds them).
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import pytest
 
 import repro
 import repro.models.sharded as sharded_module
+from repro.consensus.topk.footrule import FootruleStatistics
 from repro.engine import get_backend, numpy_available, use_backend
 from repro.exceptions import ModelError
 from repro.models import (
@@ -37,7 +40,8 @@ from repro.query import PlanSummary, Query, ResultCache, answer_key
 from repro.query.compat import query_for_kind
 from repro.serving import ServingExecutor
 from repro.session import QuerySession
-from repro.sharding.summary import ShardLayout
+from repro.sharding import SnapshotReader
+from repro.sharding.summary import ShardLayout, ShardRankSummary
 from repro.workloads.generators import (
     random_bid_database,
     random_tuple_independent_database,
@@ -400,6 +404,88 @@ class TestSupersededStateIsReleased:
         assert cached.value == value
         assert cached.expected_distance == objective
         assert cached.provenance() == provenance
+
+    @pytest.mark.parametrize("front", ["connect", "executor"])
+    def test_superseded_state_is_freed_by_reference_counting(self, front):
+        """With the cycle collector off, an update plus the ``ti_mixed``
+        kinds leave no superseded columns, summaries or footrule tables
+        alive: none of them sits on a reference cycle."""
+        database = random_tuple_independent_database(60, rng=13)
+        sharded = ShardedDatabase(database, 4, snapshot_history=1)
+        coordinator = sharded.coordinator()
+        key = sorted(sharded.keys())[5]
+        owner = sharded.shards()[sharded.shard_of(key)]
+        refs = []
+
+        def capture():
+            layout = owner.layout()
+            reader = coordinator.at()
+            refs.extend(
+                weakref.ref(item)
+                for item in (
+                    layout,
+                    layout.summary(K),
+                    reader,
+                    reader.footrule_statistics(K),
+                )
+            )
+
+        async def drive_executor():
+            async with ServingExecutor(sharded) as served:
+                for step, probability in enumerate((0.3, 0.6, 0.9)):
+                    if step:
+                        await served.update(key, probability=probability)
+                    for kind in POOL_KINDS:
+                        await served.execute(query_for_kind(kind, K))
+                    if step == 0:
+                        capture()
+            # The executor reads through pinned readers; the coordinator's
+            # own artifact binding moves to the live vector on its next
+            # read.
+            coordinator.rank_matrix(K)
+
+        def drive_connection():
+            connection = repro.connect(sharded, result_cache=False)
+            for step, probability in enumerate((0.3, 0.6, 0.9)):
+                if step:
+                    sharded.update_tuple(key, probability=probability)
+                for kind in POOL_KINDS:
+                    connection.execute(query_for_kind(kind, K))
+                if step == 0:
+                    capture()
+
+        gc.collect()
+        gc.disable()
+        try:
+            # Two updates of one shard: with a history of one, the
+            # second evicts the first generation's archive.
+            if front == "executor":
+                asyncio.run(drive_executor())
+            else:
+                drive_connection()
+            alive = [type(ref()).__name__ for ref in refs if ref() is not None]
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            cyclic = [
+                type(item).__name__
+                for item in gc.garbage
+                if isinstance(
+                    item,
+                    (
+                        ShardLayout,
+                        ShardRankSummary,
+                        SnapshotReader,
+                        FootruleStatistics,
+                    ),
+                )
+            ]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert len(refs) == 4
+        assert alive == []
+        assert cyclic == []
 
     def test_executor_stores_detached_answers(self):
         database = random_tuple_independent_database(20, rng=7)

@@ -56,6 +56,7 @@ from repro.engine import (
     PurePythonBackend,
     WorldBatch,
     flatten_tree,
+    get_backend,
     numpy_available,
     reset_default_rng,
     resolve_rng,
@@ -478,19 +479,19 @@ class TestFootruleCostKernel:
                         )
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_cost_rows_align_with_keys(self, backend):
+    def test_cost_matrix_aligns_with_keys(self, backend):
         database = small_tuple_independent(8, count=5)
         k = 3
         with use_backend(backend):
             footrule = FootruleStatistics(database.tree, k)
-            rows = footrule.cost_rows()
+            rows = get_backend().matrix_to_lists(footrule.cost_matrix)
             keys = footrule.keys()
-        assert len(rows) == k
-        for position, row in enumerate(rows, start=1):
-            assert len(row) == len(keys)
-            for column, key in enumerate(keys):
+        assert len(rows) == len(keys)
+        for key, row in zip(keys, rows):
+            assert len(row) == k
+            for position, value in enumerate(row, start=1):
                 assert math.isclose(
-                    row[column],
+                    value,
                     footrule.position_cost(key, position),
                     abs_tol=1e-12,
                 )
