@@ -31,10 +31,11 @@ Six cases over the scaled movie-ratings scenario (tuple-independent,
   through its cached prefix/suffix partial products (O(S) convolutions, the
   changed shard's summary shipped as a row-suffix delta), while the full
   re-merge baseline re-ships every summary and re-runs the S(S-1)-conv
-  legacy merge plus the global layout rebuild.  The run asserts 1e-9
-  rank-matrix parity between both strategies after every update, the O(S)
-  vs O(S^2) convolution budgets via merge-engine and backend counters, and
-  (full scale, NumPy) a >= 3x median update-latency advantage.
+  from-scratch merge (``repro.sharding.merge.merge_from_scratch``).  The
+  run asserts 1e-9 rank-matrix parity between both strategies after every
+  update, the O(S) vs O(S^2) convolution budgets via merge-engine and
+  backend counters, and (full scale, NumPy) a >= 3x median update-latency
+  advantage.
 
 Set ``REPRO_BENCH_SMOKE=1`` to shrink every case to seconds (the CI smoke
 leg).  JSON results record the active backend, the traffic seed, and (for
@@ -54,6 +55,7 @@ from repro.serving import ServingExecutor
 from repro.session import QuerySession
 from repro.sharding.procpool import resolve_start_method
 from repro.sharding.coordinator import ShardedQuerySession
+from repro.sharding.merge import merge_from_scratch
 from repro.workloads.scenarios import movie_rating_scenario
 from repro.workloads.traffic import (
     generate_traffic,
@@ -360,10 +362,8 @@ def test_e13f_incremental_vs_full_remerge(benchmark):
     )
     try:
         pool = sharded.process_pool()
-        incremental = ShardedQuerySession(sharded, merge_mode="incremental")
-        full = ShardedQuerySession(sharded, merge_mode="rebuild")
+        incremental = ShardedQuerySession(sharded)
         incremental.rank_matrix(K)
-        full.rank_matrix(K)
         events = update_heavy_traffic(
             database.tree.keys(),
             EVENT_COUNT,
@@ -395,14 +395,15 @@ def test_e13f_incremental_vs_full_remerge(benchmark):
                 f"incremental re-merge spent {stats_delta.convolutions} "
                 f"convolutions; O(S) budget is {conv_budget}"
             )
-            # Full re-merge baseline on the very same update: cold
-            # coordinator (summaries re-shipped, layout rebuilt, legacy
-            # S(S-1) merge) against warm worker-side shard state.
+            # Full re-merge baseline on the very same update: summaries
+            # re-shipped and merged from scratch (S(S-1) convolutions)
+            # against warm worker-side shard state.
             pool.forget_cached_summaries()
-            full.invalidate()
             legacy_before = backend.kernel_calls("convolve_rows")
             start = time.perf_counter()
-            rebuilt = full.rank_matrix(K)
+            rebuilt = merge_from_scratch(
+                [row[1] for row in pool.summaries_with_tokens(K)], K, backend
+            )
             full_times.append((time.perf_counter() - start) * 1000.0)
             legacy_convs = (
                 backend.kernel_calls("convolve_rows") - legacy_before
@@ -452,7 +453,7 @@ def test_e13f_incremental_vs_full_remerge(benchmark):
                 "Each update re-merges twice on the same shard state: "
                 "through the cached prefix/suffix partial products "
                 f"(<= {conv_budget} convolutions, summary delta shipped) "
-                "and from scratch (summaries re-shipped, layout rebuilt, "
+                "and from scratch (summaries re-shipped, "
                 f">= {legacy_floor} convolutions); 1e-9 parity asserted "
                 f"per update.  Median advantage: {advantage:.2f}x."
             ),

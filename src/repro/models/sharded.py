@@ -286,10 +286,6 @@ class LocalShards:
     def __init__(self, database: "ShardedDatabase") -> None:
         self._database = database
 
-    def layouts(self) -> List[Tuple[int, ShardLayout]]:
-        """``(shard_index, columns)`` per non-empty shard."""
-        return self._database.shard_layouts()
-
     def summaries_with_tokens(
         self, max_rank: int
     ) -> List[Tuple[int, ShardRankSummary, Tuple[int, int]]]:
@@ -554,7 +550,7 @@ class ShardedDatabase:
 
         The started :meth:`process_pool` under ``executor="processes"``,
         otherwise the in-process :class:`LocalShards`; both expose
-        ``layouts()``, ``summaries_with_tokens()``, ``prefetch()`` and
+        ``summaries_with_tokens()``, ``prefetch()`` and
         ``cached_summaries()``.
         """
         if self._executor == "processes":
@@ -562,19 +558,6 @@ class ShardedDatabase:
         if self._provider is None:
             self._provider = LocalShards(self)
         return self._provider
-
-    def shard_layouts(self) -> List[Tuple[int, ShardLayout]]:
-        """``(shard_index, columns)`` per non-empty shard.
-
-        The parent holds every shard's columns whichever executor runs the
-        shard, so reading them costs no worker round-trip.
-        """
-        out = []
-        for shard in self._shards:
-            layout = shard._state.layout()
-            if layout is not None:
-                out.append((shard.index, layout))
-        return out
 
     def close(self) -> None:
         """Release the worker processes, if any (idempotent)."""
@@ -619,9 +602,9 @@ class ShardedDatabase:
     def coordinator(self) -> Any:
         """The cross-shard :class:`~repro.sharding.ShardedQuerySession`.
 
-        Created once and cached; the coordinator follows shard versions, so
-        it stays valid across updates (its merged artifacts are dropped and
-        rebuilt lazily).
+        Created once and cached; the coordinator reads at the current
+        shard versions, so it stays valid across updates (each version
+        vector's merged artifacts are built lazily, in their own entry).
         """
         if self._coordinator is None:
             from repro.sharding.coordinator import ShardedQuerySession

@@ -167,9 +167,9 @@ class Connection:
                     )
         answer = self.plan(query).execute(rng=rng)
         if cache_key is not None and not answer.stale and not answer.degraded:
-            # Re-key after execution: a sharded session syncs to the
-            # latest shard versions (bumping its generation) while the
-            # query runs, so the ingress key may already be stale.  The
+            # Re-key after execution: reads never move a session's token,
+            # but an update that lands mid-query moves a sharded session's
+            # version vector, so the ingress key may already be stale.  The
             # post-execution token is what the next lookup will compute.
             store_key = self._answer_key(query)
             if store_key is not None:

@@ -224,7 +224,7 @@ class ExecutionPlan:
     def _artifact_lines(self) -> str:
         if not self.artifacts:
             return "none"
-        cache = getattr(self._session, "_cache", {})
+        cache = self._session._artifacts()
         rendered = []
         for name, params in self.artifacts:
             state = "warm" if (name, params) in cache else "cold"
@@ -250,7 +250,7 @@ class ExecutionPlan:
             f"  est. cost: ~{self.estimated_cost:.3g} ops ({self.cost_note})",
             f"  artifacts: {self._artifact_lines()}",
             f"  cache:     generation {self._session.generation}, "
-            f"{len(getattr(self._session, '_cache', {}))} entries memoized",
+            f"{len(self._session._artifacts())} entries memoized",
         ]
         return "\n".join(lines)
 

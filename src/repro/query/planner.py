@@ -15,9 +15,9 @@ database size, sharding, active backend) and picks the execution path:
   confidence-interval-driven sample sizing, the fallback the hardness
   results prescribe.
 
-Plans are memoized per session and per query (dropped when the session's
-generation changes), so the planner adds one dictionary lookup to a warm
-serving dispatch.
+Plans are memoized per session and per query (re-planned only when the
+compute backend switches), so the planner adds one dictionary lookup to a
+warm serving dispatch.
 """
 
 from __future__ import annotations
@@ -311,7 +311,7 @@ class Planner:
         """The (memoized) execution plan for one query on one session.
 
         Plans are cached on the session keyed by the query's stable hash
-        and dropped when the session's generation changes, so repeated
+        and rebuilt only when the compute backend switches, so repeated
         dispatch costs one dictionary lookup.
         """
         if deployment is None:
@@ -802,12 +802,10 @@ class Planner:
             return 0
         ks = sorted(wanted)
         k_max = ks[-1]
-        # One sweep at k_max (this also syncs sharded coordinators so the
-        # seeds below land in the current version's artifact store).
+        # One sweep at k_max; the seeds land in the same artifact memo (on
+        # a sharded session, the entry of the vector it reads at).
         base = session.rank_matrix(k_max)
-        cache = getattr(session, "_cache", None)
-        if cache is None:
-            return 0
+        cache = session._artifacts()
         for k in ks[:-1]:
             key = ("rank_matrix", (k,))
             if key not in cache:

@@ -928,7 +928,7 @@ class ServingExecutor:
         query: ConsensusQuery,
         versions: Tuple[int, ...],
     ) -> Tuple[QueryAnswer, bool]:
-        # Plan (memoized per session generation) on the live
+        # Plan (memoized per session) on the live
         # coordinator, then rebind to a reader pinned at the
         # versions captured when the request arrived: the read is
         # isolated from updates that landed while it was queued.

@@ -204,11 +204,11 @@ class QuerySession:
             )
         self._scoring = scoring
         self._validate_scores = validate_scores
+        self._cache: Dict[ArtifactKey, Any] = {}
         self._init_cache_state()
 
     def _init_cache_state(self) -> None:
-        """Initialise the memoization machinery (shared with subclasses)."""
-        self._cache: Dict[ArtifactKey, Any] = {}
+        """Initialise the memoization counters (shared with subclasses)."""
         self._hits = 0
         self._misses = 0
         self._artifact_hits: Dict[str, int] = {}
@@ -220,6 +220,11 @@ class QuerySession:
     # ------------------------------------------------------------------
     # Cache machinery
     # ------------------------------------------------------------------
+    def _artifacts(self) -> Dict[ArtifactKey, Any]:
+        """The memo this session's artifacts live in (the sharded
+        coordinator keeps one per shard-version vector)."""
+        return self._cache
+
     def _memoized(
         self, artifact: str, params: Tuple[Any, ...], compute: Callable[[], Any]
     ) -> Any:
@@ -234,18 +239,19 @@ class QuerySession:
             self.invalidate()
             self._cache_backend = backend
         key: ArtifactKey = (artifact, params)
-        if key in self._cache:
+        cache = self._artifacts()
+        if key in cache:
             self._hits += 1
             self._artifact_hits[artifact] = (
                 self._artifact_hits.get(artifact, 0) + 1
             )
-            return self._cache[key]
+            return cache[key]
         self._misses += 1
         self._artifact_misses[artifact] = (
             self._artifact_misses.get(artifact, 0) + 1
         )
         value = compute()
-        self._cache[key] = value
+        cache[key] = value
         return value
 
     @property
@@ -286,7 +292,7 @@ class QuerySession:
         return CacheInfo(
             hits=self._hits,
             misses=self._misses,
-            entries=len(self._cache),
+            entries=len(self._artifacts()),
             generation=self._generation,
             backend=get_backend().name,
             artifacts={

@@ -19,21 +19,25 @@ single unsharded session over the same data.
 
 Two properties make the coordinator honest under sustained mixed traffic:
 
-* **Incremental merging** (``merge_mode="incremental"``, the default): the
-  merge runs through :class:`~repro.sharding.merge.MergeEngine`, which
-  keeps prefix/suffix partial products of the per-shard count-above
-  polynomials on one shared score grid, keyed by per-shard version tokens.
-  A full merge is O(S) row convolutions and a single-shard update
-  recomputes only the partial-product rows containing that shard.
-  ``merge_mode="rebuild"`` keeps the legacy from-scratch O(S²) merge (used
-  by parity tests and as the baseline of the update-latency benchmarks).
-* **MVCC snapshot reads**: merged artifacts are memoized *per version
-  vector* in a small bounded store, and :meth:`at` returns a
-  :class:`SnapshotReader` pinned at one vector.  Updates publish a new
-  vector (the owning database archives the outgoing shard state first),
-  so in-flight readers keep answering from their pinned snapshot without
-  blocking or racing the writer; a reader whose vector has been evicted
-  raises :class:`~repro.exceptions.SnapshotTooOldError`.
+* **Incremental merging**: the merge at the current version vector runs
+  through :class:`~repro.sharding.merge.MergeEngine`, which keeps
+  prefix/suffix partial products of the per-shard count-above polynomials
+  on one shared score grid, keyed by per-shard version tokens.  A full
+  merge is O(S) row convolutions and a single-shard update recomputes only
+  the partial-product rows containing that shard.
+* **MVCC, one entry per vector**: every merged artifact (memoized
+  answers, merged layout, merged tree and its statistics) lives in the
+  entry of the version vector it was computed at, in a small bounded LRU
+  store.  The coordinator reads at the current vector; :meth:`at` returns
+  a :class:`SnapshotReader` that reads at a pinned one, through the same
+  code.  A shard still at the vector's version resolves to its live
+  generation; a superseded one to the archive the owning database filed
+  right before the update.  Updates publish a new vector, so in-flight
+  readers keep answering from their pinned snapshot without blocking or
+  racing the writer; a superseded vector merges from scratch
+  (:func:`~repro.sharding.merge.merge_from_scratch`) so it never thrashes
+  the engine's partials, and one whose shard versions left the bounded
+  history raises :class:`~repro.exceptions.SnapshotTooOldError`.
 
 Over a :class:`~repro.models.sharded.ShardedDatabase` the coordinator reads
 shards through one path whichever executor runs them: the columns come
@@ -58,7 +62,11 @@ from repro.core.tuples import TupleAlternative
 from repro.engine import PairwisePreferenceMatrix, RankMatrix, get_backend
 from repro.exceptions import ModelError, SnapshotTooOldError
 from repro.session import QuerySession, as_session
-from repro.sharding.merge import MergeEngine, MergeStatsSnapshot
+from repro.sharding.merge import (
+    MergeEngine,
+    MergeStatsSnapshot,
+    merge_from_scratch,
+)
 from repro.sharding.summary import ShardLayout, ShardRankSummary, shard_layout
 
 
@@ -73,7 +81,6 @@ class _MergedLayout:
         "triples",
         "independent",
         "key_to_shard",
-        "sources",
         "grid_scores",
     )
 
@@ -96,27 +103,28 @@ class _MergedLayout:
         self.independent = independent
         #: Key -> position of its shard among the non-empty shards.
         self.key_to_shard = key_to_shard
-        #: The shards' sources at this layout's version, filled on first
-        #: use; a patched layout starts empty, so it never carries a
-        #: superseded generation forward.
-        self.sources: Optional[List[Any]] = None
         self.grid_scores = grid_scores
 
 
 class _VersionEntry:
     """Memoized merged artifacts of one version vector."""
 
-    __slots__ = ("cache", "statistics", "merged_tree")
+    __slots__ = (
+        "vector", "cache", "layout", "sources", "statistics", "merged_tree"
+    )
 
-    def __init__(
-        self,
-        cache: Dict[Any, Any],
-        statistics: Optional[RankStatistics],
-        merged_tree: Optional[AndXorTree],
-    ) -> None:
-        self.cache = cache
-        self.statistics = statistics
-        self.merged_tree = merged_tree
+    def __init__(self, vector: Any) -> None:
+        self.vector = vector
+        self.cache: Dict[Any, Any] = {}
+        self.clear()
+
+    def clear(self) -> None:
+        # Reads in flight may still hold the entry: empty it in place.
+        self.cache.clear()
+        self.layout: Optional[_MergedLayout] = None
+        self.sources: Optional[List[Any]] = None
+        self.statistics: Optional[RankStatistics] = None
+        self.merged_tree: Optional[AndXorTree] = None
 
 
 class _ShardArchive:
@@ -130,22 +138,38 @@ class _ShardArchive:
     too.
     """
 
-    __slots__ = ("index", "version", "state", "_summaries")
+    __slots__ = ("state", "_summaries")
 
-    def __init__(
-        self, shard: Any, summaries: Dict[int, ShardRankSummary]
-    ) -> None:
+    def __init__(self, shard: Any, provider: Any) -> None:
         self.state = shard._state
-        self.index = shard.index
-        self.version = self.state.version
-        self._summaries = dict(summaries)
+        self._summaries: Dict[int, ShardRankSummary] = (
+            provider.cached_summaries(shard.index, self.state.version)
+        )
 
     def summary(self, max_rank: int) -> ShardRankSummary:
-        cached = self._summaries.get(max_rank)
-        if cached is None:
-            cached = self.state.layout().summary(max_rank)
-            self._summaries[max_rank] = cached
-        return cached
+        adopted = self._summaries.get(max_rank)
+        if adopted is not None:
+            return adopted
+        return self.state.layout().summary(max_rank)  # memoized there
+
+
+class _SharedState:
+    """The MVCC state a coordinator shares with its snapshot readers.
+
+    The bounded per-vector artifact store, the per-shard archive history,
+    the merge engine, the merged-layout patch base and the rank-key index.
+    """
+
+    def __init__(self, depth: int) -> None:
+        self.depth = depth
+        self.lock = threading.Lock()
+        self.engine = MergeEngine()
+        self.store: "OrderedDict[Any, _VersionEntry]" = OrderedDict()
+        self.history: Dict[int, "OrderedDict[int, _ShardArchive]"] = {}
+        #: ``(per-shard columns, merged layout)`` of the last layout built,
+        #: at whichever vector: the base the next layout patches from.
+        self.patch_base: Optional[Tuple[List[Any], _MergedLayout]] = None
+        self.rank_key_index: Optional[Tuple[Any, Dict[Hashable, int]]] = None
 
 
 class ShardedQuerySession(QuerySession):
@@ -155,18 +179,14 @@ class ShardedQuerySession(QuerySession):
     ----------
     shards:
         Either a :class:`~repro.models.sharded.ShardedDatabase` (the
-        coordinator then follows its shard versions, swapping to a fresh
-        per-vector artifact store whenever a shard is updated) or an
-        iterable of per-shard sources (trees, :class:`RankStatistics` or
-        sessions) with disjoint tuple keys.
+        coordinator then reads at its current shard-version vector, each
+        vector with its own artifact entry) or an iterable of per-shard
+        sources (trees, :class:`RankStatistics` or sessions) with disjoint
+        tuple keys.
     validate_scores:
         Require pairwise-distinct scores *across* shards (each shard only
         validates its own); the merge semantics assume the paper's no-ties
         ranking.
-    merge_mode:
-        ``"incremental"`` (default) merges through the prefix/suffix
-        partial-product engine; ``"rebuild"`` keeps the legacy from-scratch
-        merge on every call.
     snapshot_history:
         How many version vectors (and per-shard archived states) to retain
         for pinned snapshot readers; older pins raise
@@ -177,7 +197,6 @@ class ShardedQuerySession(QuerySession):
         self,
         shards: Any,
         validate_scores: bool = True,
-        merge_mode: str = "incremental",
         snapshot_history: int = 4,
     ) -> None:
         if hasattr(shards, "sessions") and hasattr(shards, "versions"):
@@ -193,59 +212,89 @@ class ShardedQuerySession(QuerySession):
             self._static_sessions = [
                 as_session(source) for source in shards
             ]
-        if merge_mode not in ("incremental", "rebuild"):
-            raise ValueError(
-                f"unknown merge_mode {merge_mode!r}; expected "
-                "'incremental' or 'rebuild'"
-            )
         self._validate_scores = validate_scores
-        self._merge_mode = merge_mode
-        self._snapshot_history = max(1, int(snapshot_history))
-        self._scoring = None
-        self._adopted = False
-        self._use_fast_path = True
-        self._statistics: Optional[RankStatistics] = None
-        self._merged_tree: Optional[AndXorTree] = None
-        self._versions_seen: Optional[Tuple[Any, ...]] = None
-        self._engine = MergeEngine()
-        self._store: "OrderedDict[Any, _VersionEntry]" = OrderedDict()
-        self._history: Dict[int, "OrderedDict[int, _ShardArchive]"] = {}
-        self._state_lock = threading.Lock()
-        self._last_fragments: Optional[List[Any]] = None
-        self._last_layout: Optional[_MergedLayout] = None
-        self._rank_key_index: Optional[Tuple[Any, Dict[Hashable, int]]] = None
+        self._shared = _SharedState(max(1, int(snapshot_history)))
+        self._reading = threading.local()
         self._init_cache_state()
 
     # ------------------------------------------------------------------
     # Shard plumbing
     # ------------------------------------------------------------------
-    def _shard_sessions(self) -> List[QuerySession]:
+    def _current_vector(self) -> Any:
+        """The current version vector: the database's shard versions, or
+        the static shard sessions' generations."""
         if self._database is not None:
-            return list(self._database.sessions())
-        assert self._static_sessions is not None
+            return tuple(self._database.versions())
+        return (
+            (),
+            tuple(session.generation for session in self._static_sessions),
+        )
+
+    def _vector(self) -> Any:
+        """The version vector this session reads at: the one current when
+        this thread's outermost artifact read began."""
+        entry = getattr(self._reading, "entry", None)
+        return self._current_vector() if entry is None else entry.vector
+
+    def _pinned_generation(
+        self, shard: Any, vector: Any
+    ) -> Tuple[Any, Optional[_ShardArchive]]:
+        """``(generation, archive)`` of one database shard at ``vector``.
+
+        The live generation (archive ``None``) while the shard is still at
+        the vector's version, else the archived one; raises
+        :class:`~repro.exceptions.SnapshotTooOldError` once that version
+        left the bounded history.
+        """
+        version = vector[shard.index]
+        state = shard._state
+        if state.version == version:
+            return state, None
+        shared = self._shared
+        with shared.lock:
+            archive = shared.history.get(shard.index, {}).get(version)
+        if archive is None:
+            raise SnapshotTooOldError(
+                f"shard {shard.index} version {version} is no longer in the "
+                f"coordinator's snapshot history (depth {shared.depth}); "
+                "re-pin at the current vector"
+            )
+        return archive.state, archive
+
+    def _static_shards(self, vector: Any) -> List[QuerySession]:
+        """The static shard sessions, which keep no history."""
+        if vector != self._current_vector():
+            raise SnapshotTooOldError(
+                "static shard sessions keep no history; this pinned "
+                "snapshot predates a session invalidation"
+            )
         return self._static_sessions
 
-    def _provider(self) -> Any:
-        """The database's shard provider (local columns or worker pool)."""
-        return self._database.shard_provider()
-
-    def _shard_fragments(self) -> List[Tuple[ShardLayout, Any]]:
-        """``(columns, source)`` per non-empty shard.
+    def _shard_fragments(self, vector: Any) -> List[Tuple[ShardLayout, Any]]:
+        """``(columns, source)`` per non-empty shard at ``vector``.
 
         The source answers :meth:`score_of` / :meth:`alternatives_of` for
-        the shard's keys: the shard's current generation for a database,
-        the session itself for static sources.
+        the shard's keys: the shard's generation for a database, the
+        session itself for static sources.
         """
-        if self._database is not None:
-            shards = self._database.shards()
+        if self._database is None:
             return [
-                (layout, shards[index]._state)
-                for index, layout in self._provider().layouts()
+                (shard_layout(session), session)
+                for session in self._static_shards(vector)
             ]
-        return [
-            (shard_layout(session), session)
-            for session in self._shard_sessions()
+        states = [
+            self._pinned_generation(shard, vector)[0]
+            for shard in self._database.shards()
         ]
+        return [(state.layout(), state) for state in states if state.units]
+
+    def _sources(self, entry: _VersionEntry) -> List[Any]:
+        """The sources of :meth:`_shard_fragments` at the entry's vector."""
+        if entry.sources is None:
+            entry.sources = [
+                source for _, source in self._shard_fragments(entry.vector)
+            ]
+        return entry.sources
 
     @property
     def shard_count(self) -> int:
@@ -254,7 +303,7 @@ class ShardedQuerySession(QuerySession):
             return sum(
                 1 for shard in self._database.shards() if not shard.is_empty
             )
-        return len(self._shard_sessions())
+        return len(self._static_sessions)
 
     @property
     def deployment(self) -> str:
@@ -273,126 +322,61 @@ class ShardedQuerySession(QuerySession):
                 if not shard.is_empty:
                     return shard._state.layout_kind()
             return "general"
-        sessions = self._shard_sessions()
-        if not sessions:
+        if not self._static_sessions:
             return "general"
-        return sessions[0].layout_kind()
-
-    def _current_versions(self) -> Tuple[Any, ...]:
-        if self._database is not None:
-            # A shard's columns are swapped with its version, so the
-            # version vector is the whole signal.
-            return (tuple(self._database.versions()), ())
-        generations = tuple(
-            session.generation for session in self._shard_sessions()
-        )
-        return ((), generations)
+        return self._static_sessions[0].layout_kind()
 
     # ------------------------------------------------------------------
     # Version store (MVCC)
     # ------------------------------------------------------------------
-    def _store_key(self, versions: Tuple[Any, ...]) -> Any:
-        """Store key of a full version vector.
-
-        Database-backed coordinators key by the shard-version tuple (the
-        public vector that :meth:`at` pins and the executor captures);
-        static coordinators have no shard versions, so the session
-        generations carry the whole signal.
-        """
-        if self._database is not None:
-            return versions[0]
-        return versions
-
     def _entry(self) -> _VersionEntry:
-        return _VersionEntry(self._cache, self._statistics, self._merged_tree)
-
-    def _sync(self) -> None:
-        """Swap artifact stores when any shard changed since the last merge.
-
-        Shard updates only touch their own shard (and bump its version);
-        the coordinator notices lazily and rebinds to the new vector's
-        (usually fresh) artifact entry.  The outgoing vector's entry stays
-        in the bounded store so pinned snapshot readers keep serving from
-        it; unchanged shards' partial summaries and the merge engine's
-        cached partial products stay warm either way.
-        """
-        versions = self._current_versions()
-        if self._versions_seen is None:
-            self._versions_seen = versions
-            with self._state_lock:
-                self._store[self._store_key(versions)] = self._entry()
-                self._trim_store_locked()
-        elif versions != self._versions_seen:
-            self._swap_to(versions)
-
-    def _swap_to(self, versions: Tuple[Any, ...]) -> None:
-        old_key = self._store_key(self._versions_seen)
-        new_key = self._store_key(versions)
-        with self._state_lock:
-            current = self._store.get(old_key)
-            if current is not None and current.cache is self._cache:
-                # Write the lazily-built singletons back so readers pinned
-                # at the outgoing vector reuse them.
-                current.statistics = self._statistics
-                current.merged_tree = self._merged_tree
-            entry = self._store.get(new_key) if new_key != old_key else None
-            if entry is None:
-                # Same shard versions but a shard session was invalidated
-                # in place (new_key == old_key), or a vector never seen:
-                # either way the artifacts must be rebuilt.
-                entry = _VersionEntry({}, None, None)
-            self._store[new_key] = entry
-            self._store.move_to_end(new_key)
-            self._cache = entry.cache
-            self._statistics = entry.statistics
-            self._merged_tree = entry.merged_tree
-            self._trim_store_locked()
-        self._versions_seen = versions
-        # Version swaps keep the legacy invalidation contract observable:
-        # memoized plans and callers watching `generation` re-validate.
-        self._generation += 1
-
-    def _trim_store_locked(self) -> None:
-        while len(self._store) > self._snapshot_history:
-            key = next(iter(self._store))
-            entry = self._store[key]
-            if entry.cache is self._cache:
-                if len(self._store) == 1:
-                    break
-                self._store.move_to_end(key)
-                continue
-            del self._store[key]
-            self._engine.counters["snapshot_evictions"] += 1
-
-    def _entry_for(self, pinned: Any) -> _VersionEntry:
-        """Get-or-create the artifact entry of one pinned vector."""
-        with self._state_lock:
-            entry = self._store.get(pinned)
-            if entry is None:
-                entry = _VersionEntry({}, None, None)
-                self._store[pinned] = entry
-            self._store.move_to_end(pinned)
-            self._trim_store_locked()
+        """The artifact entry of the vector this session reads at, created
+        on first use; the store keeps the ``snapshot_history`` most
+        recently read vectors."""
+        entry = getattr(self._reading, "entry", None)
+        if entry is not None:
             return entry
+        vector = self._vector()
+        shared = self._shared
+        with shared.lock:
+            entry = shared.store.get(vector)
+            if entry is None:
+                entry = shared.store[vector] = _VersionEntry(vector)
+                while len(shared.store) > shared.depth:
+                    shared.store.popitem(last=False)
+                    shared.engine.counters["snapshot_evictions"] += 1
+            else:
+                shared.store.move_to_end(vector)
+        return entry
+
+    def _artifacts(self) -> Dict[Any, Any]:
+        return self._entry().cache
 
     def _memoized(self, artifact, params, compute):
-        self._sync()
-        return super()._memoized(artifact, params, compute)
+        # One read, one vector: the outermost artifact read on a thread
+        # holds its vector's entry for every read nested in it, so an
+        # update landing mid-read can neither mix two vectors' shards into
+        # one artifact nor file an artifact under another vector's entry.
+        reading = self._reading
+        if getattr(reading, "entry", None) is not None:
+            return super()._memoized(artifact, params, compute)
+        reading.entry = self._entry()
+        try:
+            return super()._memoized(artifact, params, compute)
+        finally:
+            reading.entry = None
 
     def invalidate(self) -> None:
         """Drop every merged artifact, snapshot entry and cached partial."""
-        super().invalidate()
-        self._merged_tree = None
-        self._engine.clear()
-        self._last_fragments = None
-        self._last_layout = None
-        with self._state_lock:
-            self._store.clear()
-            self._history.clear()
-            if self._versions_seen is not None:
-                self._store[self._store_key(self._versions_seen)] = (
-                    self._entry()
-                )
+        shared = self._shared
+        with shared.lock:
+            for entry in shared.store.values():
+                entry.clear()
+            shared.store.clear()
+            shared.history.clear()
+            shared.patch_base = None
+        shared.engine.clear()
+        self._generation += 1
 
     def set_scoring(self, scoring) -> None:
         raise ValueError(
@@ -402,25 +386,22 @@ class ShardedQuerySession(QuerySession):
 
     def merge_stats(self) -> MergeStatsSnapshot:
         """Counters of the incremental merge engine (snapshot, subtractable)."""
-        return self._engine.stats()
+        return self._shared.engine.stats()
 
     def version_token(self, versions: Any = None) -> Tuple[Any, ...]:
         """Result-cache token: the shard-version vector, not a generation.
 
         Database-backed coordinators answer purely from shard state, so
         the per-shard version vector (plus the coordinator's own
-        generation, which :meth:`invalidate` bumps) is the invalidation
-        signal -- a single-shard update changes the vector and naturally
-        misses the cache, while unrelated shards' entries stay servable.
-        ``versions`` pins the token at an explicit vector (the serving
-        executor passes the vector captured at request ingress).
+        generation, which only :meth:`invalidate` bumps) is the
+        invalidation signal -- a single-shard update changes the vector and
+        naturally misses the cache, while unrelated shards' entries stay
+        servable.  ``versions`` pins the token at an explicit vector (the
+        serving executor passes the vector captured at request ingress).
         """
-        if versions is not None:
-            vector: Any = tuple(versions)
-        elif self._database is not None:
-            vector = tuple(self._database.versions())
-        else:
-            vector = self._current_versions()
+        vector = (
+            self._current_vector() if versions is None else tuple(versions)
+        )
         return ("sharded", self._session_token, self._generation, vector)
 
     # ------------------------------------------------------------------
@@ -437,7 +418,20 @@ class ShardedQuerySession(QuerySession):
         snapshot history, reads raise
         :class:`~repro.exceptions.SnapshotTooOldError`.
         """
-        return SnapshotReader(self, versions)
+        if versions is None:
+            return SnapshotReader(self, self._current_vector())
+        if self._database is None:
+            raise ValueError(
+                "a static coordinator has no shard-version vector; "
+                "call at() without arguments to pin the current state"
+            )
+        pinned = tuple(versions)
+        if len(pinned) != len(self._database.shards()):
+            raise ValueError(
+                f"version vector of length {len(pinned)} does not "
+                f"match {len(self._database.shards())} shards"
+            )
+        return SnapshotReader(self, pinned)
 
     def _archive_shard(self, shard: Any) -> None:
         """Archive a shard's generation just before its version is bumped.
@@ -447,74 +441,90 @@ class ShardedQuerySession(QuerySession):
         columns with their summaries, plus whatever the shard provider
         already fetched for that version.
         """
-        archive = _ShardArchive(
-            shard, self._provider().cached_summaries(shard.index, shard.version)
-        )
-        with self._state_lock:
-            history = self._history.setdefault(shard.index, OrderedDict())
+        archive = _ShardArchive(shard, self._database.shard_provider())
+        shared = self._shared
+        with shared.lock:
+            history = shared.history.setdefault(shard.index, OrderedDict())
             history[shard.version] = archive
             history.move_to_end(shard.version)
-            while len(history) > self._snapshot_history:
+            while len(history) > shared.depth:
                 history.popitem(last=False)
-                self._engine.counters["snapshot_evictions"] += 1
-
-    def _archive_lookup(self, index: int, version: int) -> _ShardArchive:
-        with self._state_lock:
-            history = self._history.get(index)
-            archive = history.get(version) if history is not None else None
-        if archive is None:
-            raise SnapshotTooOldError(
-                f"shard {index} version {version} is no longer in the "
-                f"coordinator's snapshot history (depth "
-                f"{self._snapshot_history}); re-pin at the current vector"
-            )
-        return archive
+                shared.engine.counters["snapshot_evictions"] += 1
 
     # ------------------------------------------------------------------
     # Merged layout
     # ------------------------------------------------------------------
     def _summaries_and_tokens(
-        self, max_rank: int
+        self, vector: Any, max_rank: int
     ) -> Tuple[List[ShardRankSummary], List[Any]]:
-        """Per-shard summaries plus content-faithful version tokens.
+        """Non-empty shards' summaries at ``vector`` plus content-faithful
+        tokens.
 
         The tokens key the merge engine's cached partial products, so a
         token may only repeat when the summary content is identical: the
         shard provider pairs each summary with the version of the shard
         generation it was built from (and, on the process path, the
-        worker's committed state id shipped in the same reply).
+        worker's committed state id shipped in the same reply).  A shard
+        the provider has moved past answers from its generation at the
+        vector instead.
         """
-        if self._database is not None:
-            rows = self._provider().summaries_with_tokens(max_rank)
-            return [row[1] for row in rows], [row[2] for row in rows]
-        assert self._static_sessions is not None
-        summaries: List[ShardRankSummary] = []
-        tokens: List[Any] = []
-        for index, session in enumerate(self._static_sessions):
-            summaries.append(session.partial_rank_summary(max_rank))
-            tokens.append((index, session.generation))
+        if self._database is None:
+            summaries: List[ShardRankSummary] = []
+            tokens: List[Any] = []
+            for index, session in enumerate(self._static_shards(vector)):
+                summary = session.partial_rank_summary(max_rank)
+                if summary.number_of_tuples() > 0:
+                    summaries.append(summary)
+                    tokens.append((index, session.generation))
+            return summaries, tokens
+        rows = self._database.shard_provider().summaries_with_tokens(max_rank)
+        live = {index: (summary, token) for index, summary, token in rows}
+        summaries = []
+        tokens = []
+        for shard in self._database.shards():
+            version = vector[shard.index]
+            row = live.get(shard.index)
+            if row is not None and row[1][0] == version:
+                summaries.append(row[0])
+                tokens.append(row[1])
+                continue
+            state, archive = self._pinned_generation(shard, vector)
+            if not state.units:
+                continue
+            summaries.append(
+                archive.summary(max_rank)
+                if archive is not None
+                else state.layout().summary(max_rank)
+            )
+            tokens.append(("archive", shard.index, version))
         return summaries, tokens
 
-    def _summaries(self, max_rank: int) -> List[ShardRankSummary]:
-        summaries, _ = self._summaries_and_tokens(max_rank)
-        return summaries
-
-    def _layout(self) -> _MergedLayout:
-        return self._memoized("merged_layout", (), self._build_layout)
+    def _layout(self, entry: Optional[_VersionEntry] = None) -> _MergedLayout:
+        """The merged layout of ``entry``'s vector (default: the vector
+        this session reads at), built on first use."""
+        if entry is None:
+            entry = self._entry()
+        if entry.layout is None:
+            entry.layout = self._build_layout(entry.vector)
+        return entry.layout
 
     def _remember_layout(
         self, fragments: List[Tuple[Any, Any]], layout: _MergedLayout
     ) -> _MergedLayout:
         # The patch base keeps each shard's key and score columns and only
         # a weak reference to its layout: holding the layouts would pin
-        # superseded shard generations for as long as this coordinator is
-        # not asked to merge again.
-        self._last_fragments = [
-            (weakref.ref(fragment), fragment.independent, fragment.scores,
-             fragment.keys)
-            for fragment, _ in fragments
-        ]
-        self._last_layout = layout
+        # superseded shard generations for as long as no read builds a
+        # newer merged layout.
+        base = (
+            [
+                (weakref.ref(fragment), fragment.independent,
+                 fragment.scores, fragment.keys)
+                for fragment, _ in fragments
+            ],
+            layout,
+        )
+        with self._shared.lock:
+            self._shared.patch_base = base
         return layout
 
     def _patched_layout(
@@ -526,16 +536,15 @@ class ShardedQuerySession(QuerySession):
         grid, the triple positions and the key order) in place, so the new
         layout is the old one with the changed shards' dictionaries and
         triple rows substituted -- no global re-sort, no re-validation.
+        The base is the last layout built at any vector, so a read at a
+        newly published vector patches from whatever read came before it.
         Returns ``None`` whenever a full rebuild is required.
         """
-        previous = self._last_layout
-        cached = self._last_fragments
-        if (
-            previous is None
-            or cached is None
-            or len(fragments) != len(cached)
-        ):
+        with self._shared.lock:
+            base = self._shared.patch_base
+        if base is None or len(fragments) != len(base[0]):
             return None
+        cached, previous = base
         changed: List[Any] = []
         for (fragment, _), (old, independent, scores, keys) in zip(
             fragments, cached
@@ -579,11 +588,12 @@ class ShardedQuerySession(QuerySession):
             previous.grid_scores,
         )
 
-    def _build_layout(self) -> _MergedLayout:
-        fragments = self._shard_fragments()
+    def _build_layout(self, vector: Any) -> _MergedLayout:
+        fragments = self._shard_fragments(vector)
         patched = self._patched_layout(fragments)
+        counters = self._shared.engine.counters
         if patched is not None:
-            self._engine.counters["layout_patches"] += 1
+            counters["layout_patches"] += 1
             return self._remember_layout(fragments, patched)
         presence: Dict[Hashable, float] = {}
         alternatives: Dict[Hashable, List[Tuple[float, float]]] = {}
@@ -640,7 +650,7 @@ class ShardedQuerySession(QuerySession):
             if key not in seen:
                 seen[key] = True
                 keys_order.append(key)
-        self._engine.counters["layout_rebuilds"] += 1
+        counters["layout_rebuilds"] += 1
         return self._remember_layout(
             fragments,
             _MergedLayout(
@@ -660,37 +670,47 @@ class ShardedQuerySession(QuerySession):
     # ------------------------------------------------------------------
     @property
     def _tree(self) -> AndXorTree:
-        """Merged and/xor tree, built lazily from the shard trees.
+        """Merged and/xor tree at this session's vector (see
+        :meth:`_merged_tree`)."""
+        return self._merged_tree(self._entry())
+
+    def _merged_tree(self, entry: _VersionEntry) -> AndXorTree:
+        """One vector's merged and/xor tree, built lazily from the shard
+        trees.
 
         Only the consensus routes that genuinely need a tree (set-level
         consensus worlds, the BID median dynamic program, world sampling)
         touch this; the rank/pairwise statistics never do.  The shard
         root children are reused, so construction is index building only.
         """
-        self._sync()  # a shard update must not serve a stale merged tree
-        if self._merged_tree is None:
+        if entry.merged_tree is None:
             children = []
-            for session in self._shard_sessions():
-                root = session.tree.root
+            for source in self._sources(entry):
+                # A database shard's source is its generation, which
+                # builds the shard's tree session on demand.
+                if self._database is not None:
+                    source = source.session()
+                root = source.tree.root
                 if not isinstance(root, AndNode):
                     raise ModelError(
                         "sharded sessions require and-rooted shard trees"
                     )
                 children.extend(root.children())
-            self._layout()  # validates key disjointness and score ties
-            self._merged_tree = AndXorTree(AndNode(children), validate=False)
-        return self._merged_tree
+            self._layout(entry)  # validates key disjointness, score ties
+            entry.merged_tree = AndXorTree(AndNode(children), validate=False)
+        return entry.merged_tree
 
     @property
     def statistics(self) -> RankStatistics:
-        """Global fallback statistics over the merged tree (kept fresh).
-
-        Only the tree-level fallbacks (e.g. :meth:`sampler`) use this; the
-        sync guard mirrors :attr:`_tree` so a shard update can never serve
-        stale global statistics either.
-        """
-        self._sync()
-        return QuerySession.statistics.fget(self)  # type: ignore[attr-defined]
+        """Global fallback statistics over the merged tree at this
+        session's vector; only the tree-level fallbacks (e.g.
+        :meth:`sampler`) use this."""
+        entry = self._entry()
+        if entry.statistics is None:
+            entry.statistics = RankStatistics(
+                self._merged_tree(entry), validate_scores=self._validate_scores
+            )
+        return entry.statistics
 
     def keys(self) -> List[Hashable]:
         return list(self._layout().keys_order)
@@ -699,13 +719,11 @@ class ShardedQuerySession(QuerySession):
         return len(self._layout().keys_order)
 
     def _source_of(self, key: Hashable) -> Any:
-        layout = self._layout()
-        position = layout.key_to_shard.get(key)
+        entry = self._entry()
+        position = self._layout(entry).key_to_shard.get(key)
         if position is None:
             raise ModelError(f"unknown tuple key {key!r}")
-        if layout.sources is None:
-            layout.sources = [source for _, source in self._shard_fragments()]
-        return layout.sources[position]
+        return self._sources(entry)[position]
 
     def score_of(self, alternative: TupleAlternative) -> float:
         return self._source_of(alternative.key).score_of(alternative)
@@ -764,140 +782,39 @@ class ShardedQuerySession(QuerySession):
 
     def _merged_rank_matrix(self, max_rank: int) -> RankMatrix:
         backend = get_backend()
+        vector = self._vector()
         # The layout carries the cross-shard validation (duplicate keys,
         # tied scores); building it first means a direct rank_matrix()
         # call fails as loudly as every other merged artifact.
         layout = self._layout()
-        all_summaries, all_tokens = self._summaries_and_tokens(max_rank)
-        summaries: List[ShardRankSummary] = []
-        tokens: List[Any] = []
-        for summary, token in zip(all_summaries, all_tokens):
-            if summary.number_of_tuples() > 0:
-                summaries.append(summary)
-                tokens.append(token)
+        summaries, tokens = self._summaries_and_tokens(vector, max_rank)
+        engine = self._shared.engine
+        if vector != self._current_vector():
+            # A superseded vector merges from scratch, so stale reads
+            # cannot thrash the engine's partials of the current one.
+            engine.counters["merges"] += 1
+            engine.counters["rebuild_merges"] += 1
+            return merge_from_scratch(summaries, max_rank, backend)
         if not summaries:
             return RankMatrix([], backend.matrix_from_rows([]), backend, max_rank)
-        if self._merge_mode == "incremental":
-            keys, native = self._engine.merge(
-                summaries,
-                tokens,
-                max_rank,
-                layout.grid_scores,
-                layout.keys_order,
-                backend,
-            )
-            # The engine returns the *same* key-order list across
-            # incremental re-merges, so the n-entry position index is
-            # shared instead of rebuilt for every updated matrix.
-            cached = self._rank_key_index
-            if cached is None or cached[0] is not keys:
-                cached = (keys, {k: row for row, k in enumerate(keys)})
-                self._rank_key_index = cached
-            return RankMatrix(
-                list(keys), native, backend, max_rank, key_index=cached[1]
-            )
-        self._engine.counters["merges"] += 1
-        self._engine.counters["rebuild_merges"] += 1
-        if all(summary.is_independent for summary in summaries):
-            return self._merge_independent(summaries, max_rank, backend)
-        return self._merge_general(summaries, max_rank, backend)
-
-    def _merge_independent(
-        self,
-        summaries: List[ShardRankSummary],
-        max_rank: int,
-        backend: Any,
-    ) -> RankMatrix:
-        """Batched merge: per shard, one row-gather + convolution per peer.
-
-        For the ``m``-th tuple of shard ``s`` (decreasing score), the local
-        rank polynomial is row ``m`` of the shard's prefix table; convolving
-        it with every other shard's count-above partial at the tuple's score
-        and scaling by the tuple's presence probability yields the exact
-        global ``Pr(r(t) = ·)`` row.
-        """
-        parts: List[Any] = []
-        keys: List[Hashable] = []
-        row_scores: List[float] = []
-        for i, summary in enumerate(summaries):
-            count = summary.number_of_tuples()
-            scores = summary.scores()
-            acc = backend.take_rows(summary.prefix_table, list(range(count)))
-            for j, other in enumerate(summaries):
-                if j == i:
-                    continue
-                indices = other.prefix_indices(scores)
-                gathered = backend.take_rows(other.prefix_table, indices)
-                acc = backend.convolve_rows(acc, gathered, max_rank)
-            acc = backend.scale_rows(acc, summary.probabilities())
-            parts.append(acc)
-            keys.extend(summary.keys())
-            row_scores.extend(scores)
-        native = backend.stack_matrices(parts)
-        order = sorted(range(len(keys)), key=lambda row: -row_scores[row])
-        native = backend.take_rows(native, order)
-        keys = [keys[row] for row in order]
-        return RankMatrix(keys, native, backend, max_rank)
-
-    def _merge_general(
-        self,
-        summaries: List[ShardRankSummary],
-        max_rank: int,
-        backend: Any,
-    ) -> RankMatrix:
-        """Scalar merge for block-independent shards.
-
-        ``Pr(r(t) = i) = Σ_{a ∈ alts(t)} p_a · [own shard's count-above
-        score(a), t's block excluded] ⊛ [⊛ other shards' count-above
-        score(a)]`` -- the per-alternative threshold matters because a BID
-        tuple's realized score is itself uncertain.
-        """
-        rows: List[List[float]] = []
-        keys: List[Hashable] = []
-        row_scores: List[float] = []
-        for i, summary in enumerate(summaries):
-            others = [s for j, s in enumerate(summaries) if j != i]
-            # Scores are globally distinct, so memoizing the others-product
-            # by raw score would never hit.  What *does* repeat across a
-            # shard's alternatives is the vector of prefix indices their
-            # thresholds induce in the other shards: two thresholds falling
-            # in the same inter-score gaps share the exact same product.
-            others_products: Dict[Tuple[int, ...], List[float]] = {}
-            for key in summary.keys():
-                row = [0.0] * max_rank
-                pairs = summary.alternatives_of(key)
-                for score, probability in pairs:
-                    if probability <= 0.0:
-                        continue
-                    own = summary.count_above_excluding(score, key)
-                    if others:
-                        signature = tuple(
-                            other.prefix_index(score) for other in others
-                        )
-                        product = others_products.get(signature)
-                        if product is None:
-                            product = backend.polynomial_product(
-                                [
-                                    other.prefix_polynomial(prefix)
-                                    for other, prefix in zip(
-                                        others, signature
-                                    )
-                                ],
-                                max_rank,
-                            )
-                            others_products[signature] = product
-                        combined = backend.convolve(own, product, max_rank)
-                    else:
-                        combined = own
-                    for index in range(min(len(combined), max_rank)):
-                        row[index] += probability * combined[index]
-                rows.append(row)
-                keys.append(key)
-                row_scores.append(max(score for score, _ in pairs))
-        order = sorted(range(len(keys)), key=lambda row: -row_scores[row])
-        native = backend.matrix_from_rows([rows[row] for row in order])
-        keys = [keys[row] for row in order]
-        return RankMatrix(keys, native, backend, max_rank)
+        keys, native = engine.merge(
+            summaries,
+            tokens,
+            max_rank,
+            layout.grid_scores,
+            layout.keys_order,
+            backend,
+        )
+        # The engine returns the *same* key-order list across incremental
+        # re-merges, so the n-entry position index is shared instead of
+        # rebuilt for every updated matrix.
+        cached = self._shared.rank_key_index
+        if cached is None or cached[0] is not keys:
+            cached = (keys, {k: row for row, k in enumerate(keys)})
+            self._shared.rank_key_index = cached
+        return RankMatrix(
+            list(keys), native, backend, max_rank, key_index=cached[1]
+        )
 
     def preference_matrix(
         self, keys: Optional[Sequence[Hashable]] = None
@@ -985,8 +902,8 @@ class ShardedQuerySession(QuerySession):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"ShardedQuerySession({self.shard_count} shards, "
-            f"entries={len(self._cache)}, hits={self._hits}, "
+            f"{type(self).__name__}({self.shard_count} shards, "
+            f"vector={self._vector()!r}, hits={self._hits}, "
             f"misses={self._misses}, generation={self._generation})"
         )
 
@@ -994,75 +911,31 @@ class ShardedQuerySession(QuerySession):
 class SnapshotReader(ShardedQuerySession):
     """A read-only coordinator view pinned at one shard-version vector.
 
-    Shares the parent coordinator's bounded per-vector artifact store (two
-    readers at the same vector reuse each other's merged artifacts, and a
-    reader at the live vector shares the coordinator's own cache) and its
-    per-shard archive history.  A reader whose vector is still live merges
-    through the parent's incremental engine; once any pinned shard version
-    is superseded the reader resolves archived shard states and merges
-    from scratch, so stale reads never thrash the live partial products.
-    Readers never mutate shard state; writers never wait for readers.
+    The coordinator's own read path at a fixed vector: it shares the
+    coordinator's per-vector artifact store (readers at one vector reuse
+    each other's and the coordinator's artifacts), archive history, merge
+    engine and layout patch base, and keeps only its own hit/miss
+    counters.  Readers never mutate shard state; writers never wait for
+    readers.
     """
 
-    def __init__(
-        self, parent: ShardedQuerySession, versions: Optional[Sequence[int]]
-    ) -> None:
+    def __init__(self, parent: ShardedQuerySession, pinned: Any) -> None:
         self._parent = parent
         self._database = parent._database
         self._static_sessions = parent._static_sessions
         self._validate_scores = parent._validate_scores
-        self._merge_mode = parent._merge_mode
-        self._snapshot_history = parent._snapshot_history
-        self._scoring = None
-        self._adopted = False
-        self._use_fast_path = True
-        self._merged_tree = None
-        self._statistics = None
-        # Shared MVCC state: one store, one history, one engine.
-        self._engine = parent._engine
-        self._store = parent._store
-        self._history = parent._history
-        self._state_lock = parent._state_lock
-        self._last_fragments = None
-        self._last_layout = None
-        self._rank_key_index = None
-        self._init_cache_state()
-        if self._database is not None:
-            if versions is None:
-                pinned: Any = tuple(self._database.versions())
-            else:
-                pinned = tuple(versions)
-                if len(pinned) != len(self._database.shards()):
-                    raise ValueError(
-                        f"version vector of length {len(pinned)} does not "
-                        f"match {len(self._database.shards())} shards"
-                    )
-        else:
-            if versions is not None:
-                raise ValueError(
-                    "a static coordinator has no shard-version vector; "
-                    "call at() without arguments to pin the current state"
-                )
-            pinned = parent._current_versions()
+        self._shared = parent._shared
+        self._reading = threading.local()
         self._pinned = pinned
-        self._versions_seen = pinned
-        entry = parent._entry_for(pinned)
-        self._cache = entry.cache
-        self._statistics = entry.statistics
-        self._merged_tree = entry.merged_tree
-        self._engine.counters["snapshot_reads"] += 1
+        self._init_cache_state()
+        self._shared.engine.counters["snapshot_reads"] += 1
 
-    # -- pinned-version plumbing ---------------------------------------
     @property
     def pinned_versions(self) -> Any:
         """The shard-version vector this reader answers at."""
         return self._pinned
 
-    def _sync(self) -> None:
-        # A pinned reader never swaps artifact stores.
-        return None
-
-    def _current_versions(self) -> Tuple[Any, ...]:
+    def _vector(self) -> Any:
         return self._pinned
 
     def version_token(self, versions: Any = None) -> Tuple[Any, ...]:
@@ -1074,130 +947,8 @@ class SnapshotReader(ShardedQuerySession):
             versions = self._pinned
         return self._parent.version_token(versions)
 
-    def _live(self) -> bool:
-        if self._database is None:
-            return self._parent._current_versions() == self._pinned
-        return tuple(self._database.versions()) == self._pinned
-
-    def _require_live_static(self) -> None:
-        if self._parent._current_versions() != self._pinned:
-            raise SnapshotTooOldError(
-                "static shard sessions keep no history; this pinned "
-                "snapshot predates a session invalidation"
-            )
-
     def invalidate(self) -> None:
-        # Drop only this reader's (possibly shared) artifact entry.
-        QuerySession.invalidate(self)
-        self._merged_tree = None
-
-    def at(self, versions: Optional[Sequence[int]] = None) -> "SnapshotReader":
-        return self._parent.at(versions)
-
-    # -- pinned shard resolution ---------------------------------------
-    def _pinned_generation(self, shard: Any) -> Tuple[Any, Any]:
-        """``(generation, archive)`` of one shard at the pinned version.
-
-        The live generation (archive ``None``) while the shard has not
-        moved on, else the archived one; raises
-        :class:`~repro.exceptions.SnapshotTooOldError` once that version
-        left the bounded history.
-        """
-        pinned = self._pinned[shard.index]
-        state = shard._state
-        if state.version == pinned:
-            return state, None
-        archive = self._parent._archive_lookup(shard.index, pinned)
-        return archive.state, archive
-
-    def _shard_fragments(self) -> List[Tuple[ShardLayout, Any]]:
-        if self._database is None:
-            self._require_live_static()
-            return ShardedQuerySession._shard_fragments(self)
-        if self._live():
-            return ShardedQuerySession._shard_fragments(self)
-        fragments: List[Tuple[ShardLayout, Any]] = []
-        for shard in self._database.shards():
-            state, _ = self._pinned_generation(shard)
-            layout = state.layout()
-            if layout is not None:
-                fragments.append((layout, state))
-        return fragments
-
-    def _shard_sessions(self) -> List[QuerySession]:
-        if self._database is None:
-            self._require_live_static()
-            return ShardedQuerySession._shard_sessions(self)
-        if self._live():
-            return ShardedQuerySession._shard_sessions(self)
-        sessions: List[QuerySession] = []
-        for shard in self._database.shards():
-            state, _ = self._pinned_generation(shard)
-            session = state.session()
-            if session is not None:
-                sessions.append(session)
-        return sessions
-
-    def _summaries_and_tokens(
-        self, max_rank: int
-    ) -> Tuple[List[ShardRankSummary], List[Any]]:
-        if self._database is None:
-            self._require_live_static()
-            return ShardedQuerySession._summaries_and_tokens(self, max_rank)
-        if self._live():
-            return ShardedQuerySession._summaries_and_tokens(self, max_rank)
-        live = {
-            index: (summary, token)
-            for index, summary, token in self._provider().summaries_with_tokens(
-                max_rank
-            )
-        }
-        summaries: List[ShardRankSummary] = []
-        tokens: List[Any] = []
-        for shard in self._database.shards():
-            pinned = self._pinned[shard.index]
-            row = live.get(shard.index)
-            if row is not None and row[1][0] == pinned:
-                summaries.append(row[0])
-                tokens.append(row[1])
-                continue
-            state, archive = self._pinned_generation(shard)
-            if not state.units:
-                continue
-            summaries.append(
-                archive.summary(max_rank)
-                if archive is not None
-                else state.layout().summary(max_rank)
-            )
-            tokens.append(("archive", shard.index, pinned))
-        return summaries, tokens
-
-    def _merged_rank_matrix(self, max_rank: int) -> RankMatrix:
-        if self._database is None or self._live():
-            return ShardedQuerySession._merged_rank_matrix(self, max_rank)
-        # Pinned at a superseded vector: merge from scratch off archived
-        # shard states so stale reads cannot thrash the live engine's
-        # cached partial products.
-        backend = get_backend()
-        self._layout()
-        all_summaries, _ = self._summaries_and_tokens(max_rank)
-        summaries = [
-            summary
-            for summary in all_summaries
-            if summary.number_of_tuples() > 0
-        ]
-        if not summaries:
-            return RankMatrix(
-                [], backend.matrix_from_rows([]), backend, max_rank
-            )
-        self._engine.counters["merges"] += 1
-        self._engine.counters["rebuild_merges"] += 1
-        if all(summary.is_independent for summary in summaries):
-            return self._merge_independent(summaries, max_rank, backend)
-        return self._merge_general(summaries, max_rank, backend)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"SnapshotReader(pinned={self._pinned!r}, "
-            f"entries={len(self._cache)}, live={self._live()})"
-        )
+        """Drop the pinned vector's artifacts (shared with every session
+        reading at that vector)."""
+        self._entry().clear()
+        self._generation += 1

@@ -1,10 +1,10 @@
 """Incremental cross-shard merge: grid-aligned prefix/suffix partials.
 
 The coordinator recovers exact global rank probabilities by convolving
-per-shard count-above-threshold polynomials.  The from-scratch merge pairs
-every shard with every other shard -- O(S²) row convolutions -- and
-re-derives the merged layout, gathers and sort order on every shard
-update.  :class:`MergeEngine` restructures that around partial products on
+per-shard count-above-threshold polynomials.  The from-scratch merge
+(:func:`merge_from_scratch`) pairs every shard with every other shard --
+O(S²) row convolutions -- and re-derives the gathers and sort order on
+every call.  :class:`MergeEngine` restructures that around partial products on
 one shared score grid:
 
 * every shard's count table is gathered once onto the **global descending
@@ -26,14 +26,19 @@ own prefix table); block-independent shards build one row per alternative
 (own block excluded) and collapse them per key with
 :meth:`~repro.engine.backends.Backend.sum_rows_by_group`, so mixed
 shardings merge on the same grid machinery.
+
+:func:`merge_from_scratch` stays as the merge of superseded version
+vectors (which must not disturb the engine's cached partials) and as the
+engine's parity oracle.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, fields
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, List, Sequence, Tuple
 
+from repro.engine import RankMatrix
 from repro.sharding.summary import ShardRankSummary
 
 
@@ -45,8 +50,8 @@ class MergeStatsSnapshot:
 convolve_rows` calls issued by the engine (the backend keeps its own
     independent ``kernel_calls`` tally); ``incremental_merges`` reused
     cached prefix/suffix partials, ``full_merges`` rebuilt the grid state,
-    and ``rebuild_merges`` took the legacy from-scratch path
-    (``merge_mode="rebuild"`` or a pinned snapshot at a non-live vector).
+    and ``rebuild_merges`` counts merges at superseded version vectors,
+    which take :func:`merge_from_scratch` instead of the engine.
     Subtracting two snapshots gives the counters of the interval between
     them.
     """
@@ -121,10 +126,11 @@ class _GridState:
 class MergeEngine:
     """Versioned prefix/suffix partial-product cache behind a coordinator.
 
-    One engine per coordinator, one :class:`_GridState` per requested
-    truncation (bounded LRU).  The engine only ever serves the *live*
-    version vector -- pinned snapshot readers at older vectors merge from
-    scratch so they cannot thrash the partials of current traffic.
+    One engine per coordinator, shared with its snapshot readers, and one
+    :class:`_GridState` per requested truncation (bounded LRU).  The engine
+    only ever merges the *current* version vector; reads at superseded
+    vectors take :func:`merge_from_scratch`, so they cannot thrash the
+    partials of current traffic.
     """
 
     def __init__(self, state_limit: int = 8) -> None:
@@ -456,3 +462,115 @@ class MergeEngine:
     ) -> Any:
         self.counters["convolutions"] += 1
         return backend.convolve_rows(a, b, out_len)
+
+
+# ----------------------------------------------------------------------
+# From-scratch merge
+# ----------------------------------------------------------------------
+def merge_from_scratch(
+    summaries: Sequence[ShardRankSummary], max_rank: int, backend: Any
+) -> RankMatrix:
+    """The global rank matrix of independent shards, merged from scratch.
+
+    Pairs every shard with every other (``S·(S-1)`` row convolutions) and
+    keeps no state between calls.  Empty summaries are skipped; rows come
+    out in decreasing best-score order, like the engine's.
+    """
+    summaries = [
+        summary for summary in summaries if summary.number_of_tuples() > 0
+    ]
+    if not summaries:
+        return RankMatrix([], backend.matrix_from_rows([]), backend, max_rank)
+    if all(summary.is_independent for summary in summaries):
+        keys, native, row_scores = _merge_independent(
+            summaries, max_rank, backend
+        )
+    else:
+        keys, native, row_scores = _merge_general(summaries, max_rank, backend)
+    order = sorted(range(len(keys)), key=lambda row: -row_scores[row])
+    native = backend.take_rows(native, order)
+    return RankMatrix([keys[row] for row in order], native, backend, max_rank)
+
+
+def _merge_independent(
+    summaries: List[ShardRankSummary], max_rank: int, backend: Any
+) -> Tuple[List[Hashable], Any, List[float]]:
+    """Batched merge: per shard, one row-gather + convolution per peer.
+
+    For the ``m``-th tuple of shard ``s`` (decreasing score), the local
+    rank polynomial is row ``m`` of the shard's prefix table; convolving
+    it with every other shard's count-above partial at the tuple's score
+    and scaling by the tuple's presence probability yields the exact
+    global ``Pr(r(t) = ·)`` row.
+    """
+    parts: List[Any] = []
+    keys: List[Hashable] = []
+    row_scores: List[float] = []
+    for i, summary in enumerate(summaries):
+        count = summary.number_of_tuples()
+        scores = summary.scores()
+        acc = backend.take_rows(summary.prefix_table, list(range(count)))
+        for j, other in enumerate(summaries):
+            if j == i:
+                continue
+            indices = other.prefix_indices(scores)
+            gathered = backend.take_rows(other.prefix_table, indices)
+            acc = backend.convolve_rows(acc, gathered, max_rank)
+        acc = backend.scale_rows(acc, summary.probabilities())
+        parts.append(acc)
+        keys.extend(summary.keys())
+        row_scores.extend(scores)
+    return keys, backend.stack_matrices(parts), row_scores
+
+
+def _merge_general(
+    summaries: List[ShardRankSummary], max_rank: int, backend: Any
+) -> Tuple[List[Hashable], Any, List[float]]:
+    """Scalar merge for block-independent shards.
+
+    ``Pr(r(t) = i) = Σ_{a ∈ alts(t)} p_a · [own shard's count-above
+    score(a), t's block excluded] ⊛ [⊛ other shards' count-above
+    score(a)]`` -- the per-alternative threshold matters because a BID
+    tuple's realized score is itself uncertain.
+    """
+    rows: List[List[float]] = []
+    keys: List[Hashable] = []
+    row_scores: List[float] = []
+    for i, summary in enumerate(summaries):
+        others = [s for j, s in enumerate(summaries) if j != i]
+        # Scores are globally distinct, so memoizing the others-product
+        # by raw score would never hit.  What *does* repeat across a
+        # shard's alternatives is the vector of prefix indices their
+        # thresholds induce in the other shards: two thresholds falling
+        # in the same inter-score gaps share the exact same product.
+        others_products: Dict[Tuple[int, ...], List[float]] = {}
+        for key in summary.keys():
+            row = [0.0] * max_rank
+            pairs = summary.alternatives_of(key)
+            for score, probability in pairs:
+                if probability <= 0.0:
+                    continue
+                own = summary.count_above_excluding(score, key)
+                if others:
+                    signature = tuple(
+                        other.prefix_index(score) for other in others
+                    )
+                    product = others_products.get(signature)
+                    if product is None:
+                        product = backend.polynomial_product(
+                            [
+                                other.prefix_polynomial(prefix)
+                                for other, prefix in zip(others, signature)
+                            ],
+                            max_rank,
+                        )
+                        others_products[signature] = product
+                    combined = backend.convolve(own, product, max_rank)
+                else:
+                    combined = own
+                for index in range(min(len(combined), max_rank)):
+                    row[index] += probability * combined[index]
+            rows.append(row)
+            keys.append(key)
+            row_scores.append(max(score for score, _ in pairs))
+    return keys, backend.matrix_from_rows(rows), row_scores

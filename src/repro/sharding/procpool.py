@@ -66,7 +66,7 @@ from repro.sharding.procworker import (
     SHM_TRANSPORT,
     worker_main,
 )
-from repro.sharding.summary import ShardLayout, ShardRankSummary
+from repro.sharding.summary import ShardRankSummary
 from repro.sharding.supervisor import SupervisorPolicy, WorkerSupervisor
 
 #: Environment variable pinning the multiprocessing start method
@@ -657,14 +657,6 @@ class ShardProcessPool:
     # ------------------------------------------------------------------
     def _shard_version(self, shard_index: int) -> int:
         return self._database.shards()[shard_index].version
-
-    def layouts(self) -> List[Tuple[int, ShardLayout]]:
-        """``(shard_index, columns)`` per non-empty shard.
-
-        The parent keeps every shard's columns itself (workers hold the
-        same ones), so this needs no worker round-trip.
-        """
-        return self._database.shard_layouts()
 
     def summaries(
         self, max_rank: int, use_cache: bool = True

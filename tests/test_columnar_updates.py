@@ -89,6 +89,15 @@ def _rows(table):
     return [[float(value) for value in row] for row in table]
 
 
+def _merged_trees(coordinator):
+    """The merged trees built in any of the coordinator's vector entries."""
+    return [
+        entry.merged_tree
+        for entry in coordinator._shared.store.values()
+        if entry.merged_tree is not None
+    ]
+
+
 def assert_same_columns(layout, reference):
     for name in COLUMNS:
         assert getattr(layout, name) == getattr(reference, name), name
@@ -354,7 +363,7 @@ class TestNoShardTrees:
 
             asyncio.run(drive())
             assert built == []
-            assert sharded.coordinator()._merged_tree is None
+            assert _merged_trees(sharded.coordinator()) == []
 
     def test_median_after_update_leaves_merged_tree_unset(self):
         database = random_tuple_independent_database(40, rng=19)
@@ -364,7 +373,7 @@ class TestNoShardTrees:
         query.execute(coordinator)
         sharded.update_tuple(sorted(sharded.keys())[3], probability=0.9)
         answer = query.execute(coordinator)
-        assert coordinator._merged_tree is None
+        assert _merged_trees(coordinator) == []
         unsharded = repro.connect(_final_table(sharded), result_cache=False)
         assert_values_close(answer.value, unsharded.execute(query).value)
 
@@ -383,7 +392,7 @@ class TestSupersededStateIsReleased:
         connection = repro.connect(reader, result_cache=cache)
         query = Query.world("symmetric_difference")
         answer = connection.execute(query)
-        archive = sharded.coordinator()._archive_lookup(owner, 0)
+        archive = sharded.coordinator()._shared.history[owner][0]
         session = archive.state._session
         assert session is not None
         ref = weakref.ref(session)
@@ -439,10 +448,6 @@ class TestSupersededStateIsReleased:
                         await served.execute(query_for_kind(kind, K))
                     if step == 0:
                         capture()
-            # The executor reads through pinned readers; the coordinator's
-            # own artifact binding moves to the live vector on its next
-            # read.
-            coordinator.rank_matrix(K)
 
         def drive_connection():
             connection = repro.connect(sharded, result_cache=False)
@@ -454,6 +459,7 @@ class TestSupersededStateIsReleased:
                 if step == 0:
                     capture()
 
+        first = sharded.versions()
         gc.collect()
         gc.disable()
         try:
@@ -486,6 +492,11 @@ class TestSupersededStateIsReleased:
         assert len(refs) == 4
         assert alive == []
         assert cyclic == []
+        # No session stays bound to the first vector: the store is a plain
+        # LRU over the vectors read, at most ``snapshot_history`` deep.
+        store = coordinator._shared.store
+        assert len(store) <= 1
+        assert first not in store
 
     def test_executor_stores_detached_answers(self):
         database = random_tuple_independent_database(20, rng=7)

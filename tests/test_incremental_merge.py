@@ -4,23 +4,28 @@ Covers the prefix/suffix partial-product merge engine (incremental vs
 from-scratch parity across models, partitioners, shard counts, backends
 and executors), version-pinned snapshot readers staying 1e-9-identical
 across concurrent shard swaps, the bounded snapshot history actually
-evicting, the memoized ``_merge_general`` hot loop, and the seeded
-update-heavy / bursty traffic streams.
+evicting, the memoized general (BID) hot loop of the from-scratch merge,
+and the seeded update-heavy / bursty traffic streams.
 """
 
 from __future__ import annotations
 
+import asyncio
 import random
 import threading
 
 import pytest
 
 from conftest import small_bid
-from repro.engine import numpy_available, use_backend
+from repro.consensus.topk.common import top_keys
+from repro.engine import get_backend, numpy_available, use_backend
 from repro.exceptions import SnapshotTooOldError
 from repro.models import BlockIndependentDatabase, ShardedDatabase
+from repro.query import Query
+from repro.serving import ServingExecutor
 from repro.session import QuerySession
 from repro.sharding import ShardedQuerySession
+from repro.sharding.merge import merge_from_scratch
 from repro.workloads.traffic import (
     bursty_traffic,
     generate_traffic,
@@ -65,9 +70,23 @@ def _bid_spec(seed, blocks):
     return spec
 
 
-def _matrix_rows(session, max_rank):
-    matrix = session.rank_matrix(max_rank)
+def _rows(matrix):
     return {key: list(matrix.row(key)) for key in matrix.keys()}
+
+
+def _matrix_rows(session, max_rank):
+    return _rows(session.rank_matrix(max_rank))
+
+
+def _rebuilt_matrix(sharded, max_rank):
+    """The from-scratch merge of the coordinator's current summaries."""
+    summaries = [
+        summary
+        for _, summary, _ in sharded.shard_provider().summaries_with_tokens(
+            max_rank
+        )
+    ]
+    return merge_from_scratch(summaries, max_rank, get_backend())
 
 
 def assert_rows_close(left, right, tolerance=TOLERANCE):
@@ -102,13 +121,13 @@ class TestIncrementalVsRebuildParity:
             )
             with sharded:
                 incremental = sharded.coordinator()
-                rebuild = ShardedQuerySession(sharded, merge_mode="rebuild")
                 assert_rows_close(
-                    _matrix_rows(incremental, K), _matrix_rows(rebuild, K)
+                    _matrix_rows(incremental, K),
+                    _rows(_rebuilt_matrix(sharded, K)),
                 )
-                # A single-shard swap: the incremental path re-merges
-                # through cached partial products, the rebuild path from
-                # scratch; answers must still match to 1e-9.
+                # A single-shard swap: the coordinator re-merges through
+                # cached partial products, the oracle from scratch;
+                # answers must still match to 1e-9.
                 if model == "ti":
                     sharded.update_tuple("t3", probability=0.42)
                 else:
@@ -117,13 +136,18 @@ class TestIncrementalVsRebuildParity:
                         for value, score, probability in spec[2][1]
                     ]
                     sharded.update_block(spec[2][0], replacement)
-                assert_rows_close(
-                    _matrix_rows(incremental, K), _matrix_rows(rebuild, K)
+                rebuilt = _rebuilt_matrix(sharded, K)
+                assert_rows_close(_matrix_rows(incremental, K), _rows(rebuilt))
+                membership = rebuilt.membership()
+                for key, value in incremental.top_k_membership(K).items():
+                    assert abs(membership[key] - value) < TOLERANCE
+                # Theorem 3: the mean answer is the K most likely top-K
+                # members of the from-scratch matrix.
+                keys = list(membership)
+                mean_keys, _ = incremental.mean_topk_symmetric_difference(K)
+                assert set(mean_keys) == set(
+                    top_keys(keys, [membership[key] for key in keys], K)
                 )
-                mean_inc = incremental.mean_topk_symmetric_difference(K)
-                mean_reb = rebuild.mean_topk_symmetric_difference(K)
-                assert mean_inc[0] == mean_reb[0]
-                assert abs(mean_inc[1] - mean_reb[1]) < TOLERANCE
 
 
 class TestConvolutionBudget:
@@ -161,6 +185,28 @@ class TestConvolutionBudget:
         # A probability-only update keeps every score in place: the merged
         # layout is patched, not rebuilt.
         assert delta.layout_patches == 1
+        assert delta.layout_rebuilds == 0
+
+    @pytest.mark.parametrize("executor", ["threads", "processes"])
+    def test_layout_patch_on_served_probability_update(self, executor):
+        """The serving executor reads only through pinned readers; the
+        reader at the new vector patches the layout the previous one
+        built."""
+        sharded = ShardedDatabase(_ti_tuples(11, 30), 4, executor=executor)
+        coordinator = sharded.coordinator()
+
+        async def drive():
+            async with ServingExecutor(sharded, result_cache=False) as served:
+                await served.execute(Query.membership(K))
+                before = coordinator.merge_stats()
+                await served.update("t5", probability=0.5)
+                await served.execute(Query.membership(K))
+                await served.execute(Query.topk(K))
+                return coordinator.merge_stats() - before
+
+        with sharded:
+            delta = asyncio.run(drive())
+        assert delta.layout_patches >= 1
         assert delta.layout_rebuilds == 0
 
 
@@ -219,6 +265,32 @@ class TestPinnedSnapshotReads:
         assert not errors
         assert_rows_close(expected, _matrix_rows(pinned, K))
 
+    def test_read_racing_an_update_answers_at_one_vector(self, monkeypatch):
+        """An update that lands inside a coordinator read moves neither
+        that read nor what it memoizes off the vector the read began at."""
+        sharded = ShardedDatabase(_ti_tuples(53, 24), 4)
+        coordinator = sharded.coordinator()
+        reference = ShardedDatabase(_ti_tuples(53, 24), 4).coordinator()
+        first = sharded.versions()
+        key = coordinator.keys()[0]
+        merge = ShardedQuerySession._merged_rank_matrix
+
+        def racing(session, max_rank):
+            if sharded.versions() == first:
+                sharded.update_tuple(key, probability=0.99)
+            return merge(session, max_rank)
+
+        monkeypatch.setattr(ShardedQuerySession, "_merged_rank_matrix", racing)
+        membership = coordinator.top_k_membership(K)
+        monkeypatch.undo()
+        expected = reference.top_k_membership(K)
+        for name, value in expected.items():
+            assert abs(membership[name] - value) < TOLERANCE
+        assert_rows_close(
+            _matrix_rows(reference, K), _matrix_rows(coordinator.at(first), K)
+        )
+        assert abs(coordinator.rank_matrix(K).row(key)[0] - 0.99) < TOLERANCE
+
     def test_snapshot_readers_share_memoized_artifacts(self):
         sharded = ShardedDatabase(_ti_tuples(37, 20), 3)
         coordinator = sharded.coordinator()
@@ -229,6 +301,40 @@ class TestPinnedSnapshotReads:
         hits_before = second.cache_hits
         second.rank_matrix(K)
         assert second.cache_hits > hits_before
+
+
+class TestVersionToken:
+    def test_ingress_key_survives_reads_and_misses_after_invalidate(self):
+        """Reads at any vector leave the coordinator's token alone; only
+        an update (a new vector) or invalidate() moves it."""
+        sharded = ShardedDatabase(_ti_tuples(47, 24), 4)
+        coordinator = sharded.coordinator()
+        query = Query.membership(K)
+
+        async def drive():
+            async with ServingExecutor(sharded) as served:
+                first = sharded.versions()
+                await served.execute(query)
+                await served.update("t2", probability=0.35)
+                assert not (await served.execute(query)).cached
+                coordinator.at(first).rank_matrix(K)
+                assert (await served.execute(query)).cached
+                coordinator.rank_matrix(K)
+                assert (await served.execute(query)).cached
+                coordinator.invalidate()
+                assert not (await served.execute(query)).cached
+
+        asyncio.run(drive())
+
+    @pytest.mark.skipif(not numpy_available(), reason="numpy backend only")
+    def test_backend_switch_rebuilds_the_vector_entry(self):
+        sharded = ShardedDatabase(_ti_tuples(59, 20), 3)
+        coordinator = sharded.coordinator()
+        with use_backend("numpy"):
+            coordinator.rank_matrix(K)
+        with use_backend("python"):
+            assert coordinator.rank_matrix(K).backend.name == "python"
+            assert coordinator.at().rank_matrix(K).backend.name == "python"
 
 
 class TestBoundedSnapshotHistory:
@@ -272,8 +378,8 @@ class TestBoundedSnapshotHistory:
 
 class TestMergeGeneralMemo:
     """The memoized others-product hot loop answers like the unsharded
-    session (the general/BID merge path used by rebuilds and stale
-    readers)."""
+    session (the general/BID path of the from-scratch merge that stale
+    readers take)."""
 
     @pytest.mark.parametrize("backend_name", BACKENDS)
     def test_general_merge_parity(self, backend_name):
@@ -281,12 +387,10 @@ class TestMergeGeneralMemo:
             database = small_bid(13, blocks=7)
             reference = QuerySession(database.tree)
             sharded = ShardedDatabase(database, 3, partitioner="hash")
-            rebuild = ShardedQuerySession(sharded, merge_mode="rebuild")
-            assert_rows_close(
-                _matrix_rows(reference, K), _matrix_rows(rebuild, K)
-            )
+            rebuilt = _rebuilt_matrix(sharded, K)
+            assert_rows_close(_matrix_rows(reference, K), _rows(rebuilt))
             membership_ref = reference.top_k_membership(K)
-            membership_merged = rebuild.top_k_membership(K)
+            membership_merged = rebuilt.membership()
             assert set(membership_ref) == set(membership_merged)
             for key, value in membership_ref.items():
                 assert abs(membership_merged[key] - value) < TOLERANCE
