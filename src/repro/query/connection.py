@@ -127,35 +127,51 @@ class Connection:
         memoization anyway, so it is rejected there; pass seeds through
         local/sharded connections or the query's own ``sampled`` settings.
         """
-        if self._executor is not None:
-            loop = getattr(self._executor, "_loop", None)
-            if loop is not None and loop.is_running():
-                import asyncio
+        loop = self._served_loop("execute", "await execute_async()", rng)
+        if loop is not None:
+            import asyncio
 
-                try:
-                    running = asyncio.get_running_loop()
-                except RuntimeError:
-                    running = None
-                if running is loop:
-                    raise PlanningError(
-                        "Connection.execute() would deadlock inside the "
-                        "executor's event loop; await execute_async() "
-                        "instead"
-                    )
-                if rng is not None:
-                    raise PlanningError(
-                        "rng overrides are not supported through a running "
-                        "serving executor; use a local/sharded connection"
-                    )
-                return asyncio.run_coroutine_threadsafe(
-                    self._executor.execute(query), loop
-                ).result()
+            return asyncio.run_coroutine_threadsafe(
+                self._executor.execute(query), loop
+            ).result()
+        with self._session._pinned_read() as session:
+            return self._execute_on(session, query, rng)
+
+    def _served_loop(self, method: str, instead: str, rng: Any) -> Any:
+        """The running executor's event loop, or ``None`` when this
+        connection answers on its own session."""
+        loop = getattr(self._executor, "_loop", None)
+        if loop is None or not loop.is_running():
+            return None
+        import asyncio
+
+        try:
+            running = asyncio.get_running_loop()
+        except RuntimeError:
+            running = None
+        if running is loop:
+            raise PlanningError(
+                f"Connection.{method}() would deadlock inside the "
+                f"executor's event loop; {instead} instead"
+            )
+        if rng is not None:
+            raise PlanningError(
+                "rng overrides are not supported through a running "
+                "serving executor; use a local/sharded connection"
+            )
+        return loop
+
+    def _execute_on(
+        self, session: QuerySession, query: ConsensusQuery, rng: Any
+    ) -> QueryAnswer:
+        """Answer ``query`` on ``session`` (pinned by the caller, so the
+        answer and its result-cache key describe one state)."""
         cache_key = None
         if self._result_cache is not None and rng is None:
             # rng overrides deliberately bypass the cache: a seeded run
             # is a request for a *specific* sample stream, not for
             # whichever stream happened to be answered first.
-            cache_key = self._answer_key(query)
+            cache_key = self._answer_key(session, query)
             if cache_key is not None:
                 hit = self._result_cache.get(cache_key)
                 if hit is not None:
@@ -165,21 +181,22 @@ class Connection:
                     return replace(
                         hit, cached=True, cache_hits=0, cache_misses=0
                     )
-        answer = self.plan(query).execute(rng=rng)
+        answer = self.plan(query).rebound(session).execute(rng=rng)
         if cache_key is not None and not answer.stale and not answer.degraded:
-            # Re-key after execution: reads never move a session's token,
-            # but an update that lands mid-query moves a sharded session's
-            # version vector, so the ingress key may already be stale.  The
-            # post-execution token is what the next lookup will compute.
-            store_key = self._answer_key(query)
-            if store_key is not None:
-                self._result_cache.put(store_key, answer.detached())
+            # Reads never move a session's token, and an update that lands
+            # mid-query publishes a new vector without touching the one a
+            # sharded read is pinned at: the answer belongs under the key
+            # it was looked up with.
+            self._result_cache.put(cache_key, answer.detached())
         return answer
 
-    def _answer_key(self, query: ConsensusQuery) -> Optional[Any]:
-        """The result-cache key of ``query`` at the session's current
-        state (None when the session cannot produce a version token)."""
-        token_of = getattr(self._session, "version_token", None)
+    @staticmethod
+    def _answer_key(
+        session: QuerySession, query: ConsensusQuery
+    ) -> Optional[Any]:
+        """The result-cache key of ``query`` at ``session``'s state (None
+        when the session cannot produce a version token)."""
+        token_of = getattr(session, "version_token", None)
         if token_of is None:
             return None
         from repro.engine import get_backend
@@ -208,46 +225,35 @@ class Connection:
         queries = list(queries)
         if not queries:
             return []
-        if self._executor is not None:
-            loop = getattr(self._executor, "_loop", None)
-            if loop is not None and loop.is_running():
-                import asyncio
+        loop = self._served_loop(
+            "execute_many", "await the executor directly", rng
+        )
+        if loop is not None:
+            import asyncio
 
-                try:
-                    running = asyncio.get_running_loop()
-                except RuntimeError:
-                    running = None
-                if running is loop:
-                    raise PlanningError(
-                        "Connection.execute_many() would deadlock inside "
-                        "the executor's event loop; await the executor "
-                        "directly instead"
-                    )
-                if rng is not None:
-                    raise PlanningError(
-                        "rng overrides are not supported through a running "
-                        "serving executor; use a local/sharded connection"
-                    )
-                executor = self._executor
+            executor = self._executor
 
-                async def _gather() -> List[QueryAnswer]:
-                    return list(
-                        await asyncio.gather(
-                            *(executor.execute(q) for q in queries)
-                        )
+            async def _gather() -> List[QueryAnswer]:
+                return list(
+                    await asyncio.gather(
+                        *(executor.execute(q) for q in queries)
                     )
+                )
 
-                return asyncio.run_coroutine_threadsafe(
-                    _gather(), loop
-                ).result()
+            return asyncio.run_coroutine_threadsafe(_gather(), loop).result()
         plans = [self.plan(query) for query in queries]
-        try:
-            self._planner.fuse_plans(self._session, plans)
-        except Exception:
-            # Fusion is a pure optimization; per-query execution below
-            # answers correctly without it.
-            pass
-        return [self.execute(query, rng=rng) for query in queries]
+        # One pinned read for the batch: the fused sweep and every answer
+        # see the same state.
+        with self._session._pinned_read() as session:
+            try:
+                self._planner.fuse_plans(session, plans)
+            except Exception:
+                # Fusion is a pure optimization; per-query execution
+                # below answers correctly without it.
+                pass
+            return [
+                self._execute_on(session, query, rng) for query in queries
+            ]
 
     async def execute_async(self, query: ConsensusQuery) -> QueryAnswer:
         """Execute through the serving executor (awaitable).

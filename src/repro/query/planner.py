@@ -802,14 +802,17 @@ class Planner:
             return 0
         ks = sorted(wanted)
         k_max = ks[-1]
-        # One sweep at k_max; the seeds land in the same artifact memo (on
-        # a sharded session, the entry of the vector it reads at).
-        base = session.rank_matrix(k_max)
-        cache = session._artifacts()
+        # One sweep at k_max; each smaller k is memoized as its slice.  The
+        # slice reads the sweep through the session its computation is
+        # handed, so on a sharded coordinator both live in one vector's
+        # entry even if an update lands in between.
+        session.rank_matrix(k_max)
         for k in ks[:-1]:
-            key = ("rank_matrix", (k,))
-            if key not in cache:
-                cache[key] = base.truncated(k)
+            session._memoized(
+                "rank_matrix",
+                (k,),
+                lambda reader, k=k: reader.rank_matrix(k_max).truncated(k),
+            )
         return sum(wanted.values())
 
     # ------------------------------------------------------------------

@@ -40,6 +40,7 @@ True
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -47,6 +48,7 @@ from typing import (
     Dict,
     FrozenSet,
     Hashable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -209,8 +211,6 @@ class QuerySession:
 
     def _init_cache_state(self) -> None:
         """Initialise the memoization counters (shared with subclasses)."""
-        self._hits = 0
-        self._misses = 0
         self._artifact_hits: Dict[str, int] = {}
         self._artifact_misses: Dict[str, int] = {}
         self._generation = 0
@@ -220,14 +220,16 @@ class QuerySession:
     # ------------------------------------------------------------------
     # Cache machinery
     # ------------------------------------------------------------------
-    def _artifacts(self) -> Dict[ArtifactKey, Any]:
-        """The memo this session's artifacts live in (the sharded
-        coordinator keeps one per shard-version vector)."""
-        return self._cache
+    def _memo_scope(self) -> Tuple[Dict[ArtifactKey, Any], Any]:
+        """The memo this session's artifacts live in, and the version
+        vector a computation filling it reads at (the sharded coordinator
+        keeps one memo per shard-version vector; ``None`` here)."""
+        return self._cache, None
 
-    def _memoized(
-        self, artifact: str, params: Tuple[Any, ...], compute: Callable[[], Any]
-    ) -> Any:
+    def _artifacts(self) -> Dict[ArtifactKey, Any]:
+        return self._memo_scope()[0]
+
+    def _sync_backend(self) -> None:
         backend = get_backend().name
         if backend != self._cache_backend:
             # The compute backend switched under a warm session: every
@@ -238,31 +240,49 @@ class QuerySession:
             # replaying answers across the switch.
             self.invalidate()
             self._cache_backend = backend
+
+    @contextmanager
+    def _pinned_read(self, vector: Any = None) -> Iterator["QuerySession"]:
+        """The session a read of several calls runs on, so that every call
+        answers from one state: the session itself here; the sharded
+        coordinator hands out a reader pinned at ``vector`` (default: its
+        current one)."""
+        self._sync_backend()
+        yield self
+
+    def _memoized(
+        self,
+        artifact: str,
+        params: Tuple[Any, ...],
+        compute: Callable[["QuerySession"], Any],
+    ) -> Any:
+        """Memoize one artifact; ``compute`` receives the session to read
+        from, pinned at the memo's vector (see :meth:`_pinned_read`)."""
+        self._sync_backend()
+        cache, vector = self._memo_scope()
         key: ArtifactKey = (artifact, params)
-        cache = self._artifacts()
         if key in cache:
-            self._hits += 1
             self._artifact_hits[artifact] = (
                 self._artifact_hits.get(artifact, 0) + 1
             )
             return cache[key]
-        self._misses += 1
         self._artifact_misses[artifact] = (
             self._artifact_misses.get(artifact, 0) + 1
         )
-        value = compute()
+        with self._pinned_read(vector) as session:
+            value = compute(session)
         cache[key] = value
         return value
 
     @property
     def cache_hits(self) -> int:
         """Number of artifact requests served from the session cache."""
-        return self._hits
+        return sum(self._artifact_hits.values())
 
     @property
     def cache_misses(self) -> int:
         """Number of artifact requests that had to compute."""
-        return self._misses
+        return sum(self._artifact_misses.values())
 
     @property
     def generation(self) -> int:
@@ -290,8 +310,8 @@ class QuerySession:
         is kept for compatibility with the earlier dictionary form).
         """
         return CacheInfo(
-            hits=self._hits,
-            misses=self._misses,
+            hits=self.cache_hits,
+            misses=self.cache_misses,
             entries=len(self._artifacts()),
             generation=self._generation,
             backend=get_backend().name,
@@ -452,8 +472,8 @@ class QuerySession:
         callers must not mutate them.
         """
 
-        def compute() -> Any:
-            layout = self.independent_tuple_layout()
+        def compute(session: QuerySession) -> Any:
+            layout = session.independent_tuple_layout()
             if layout is None:
                 return None
             return [
@@ -481,7 +501,7 @@ class QuerySession:
         return self._memoized(
             "rank_matrix",
             (max_rank,),
-            lambda: self.statistics.rank_matrix(max_rank),
+            lambda session: session.statistics.rank_matrix(max_rank),
         )
 
     def cumulative_rank_matrix(
@@ -493,7 +513,7 @@ class QuerySession:
         return self._memoized(
             "cumulative_rank_matrix",
             (max_rank,),
-            lambda: self.rank_matrix(max_rank).cumulative(),
+            lambda session: session.rank_matrix(max_rank).cumulative(),
         )
 
     def top_k_membership(self, k: int) -> Dict[Hashable, float]:
@@ -503,7 +523,7 @@ class QuerySession:
             self._memoized(
                 "top_k_membership",
                 (k,),
-                lambda: self.rank_matrix(k).membership(),
+                lambda session: session.rank_matrix(k).membership(),
             )
         )
 
@@ -515,7 +535,7 @@ class QuerySession:
         return self._memoized(
             "preference_matrix",
             params,
-            lambda: self.statistics.preference_matrix(keys),
+            lambda session: session.statistics.preference_matrix(keys),
         )
 
     def expected_rank_table(self) -> Dict[Hashable, float]:
@@ -524,19 +544,19 @@ class QuerySession:
             self._memoized(
                 "expected_rank_table",
                 (),
-                self.statistics.expected_rank_table,
+                lambda session: session.statistics.expected_rank_table(),
             )
         )
 
     def footrule_statistics(self, k: int) -> Any:
         """The memoized Υ1/Υ2/Υ3 footrule tables of Section 5.4."""
+        from repro.consensus.topk.footrule import FootruleStatistics
 
-        def compute() -> Any:
-            from repro.consensus.topk.footrule import FootruleStatistics
-
-            return FootruleStatistics(self, k)
-
-        return self._memoized("footrule_statistics", (k,), compute)
+        return self._memoized(
+            "footrule_statistics",
+            (k,),
+            lambda session: FootruleStatistics(session, k),
+        )
 
     def sampler(self) -> Any:
         """The memoized batched Monte-Carlo sampler for this database.
@@ -548,15 +568,15 @@ class QuerySession:
         Randomness is controlled per call (``rng=`` / integer seeds) or by
         the ``REPRO_SEED`` environment variable, never memoized.
         """
+        from repro.engine.sampling import MonteCarloSampler
 
-        def compute() -> Any:
-            from repro.engine.sampling import MonteCarloSampler
-
-            return MonteCarloSampler(
-                self._tree, score_of=self.statistics.score_of
-            )
-
-        return self._memoized("sampler", (), compute)
+        return self._memoized(
+            "sampler",
+            (),
+            lambda session: MonteCarloSampler(
+                session._tree, score_of=session.statistics.score_of
+            ),
+        )
 
     def partial_rank_summary(self, max_rank: Optional[int] = None) -> Any:
         """The memoized truncated rank-polynomial summary of this database.
@@ -570,88 +590,72 @@ class QuerySession:
         layouts -- the models whose rank generating function factorizes
         across independent shards.
         """
+        from repro.sharding.summary import ShardRankSummary
+
         if max_rank is None:
             max_rank = self.number_of_tuples()
-
-        def compute() -> Any:
-            from repro.sharding.summary import ShardRankSummary
-
-            return ShardRankSummary(self, max_rank)
-
-        return self._memoized("rank_partials", (max_rank,), compute)
+        return self._memoized(
+            "rank_partials",
+            (max_rank,),
+            lambda session: ShardRankSummary(session, max_rank),
+        )
 
     # ------------------------------------------------------------------
     # Consensus queries (memoized results)
     # ------------------------------------------------------------------
+    def _memoized_query(self, function: Callable[..., Any], *args: Any) -> Any:
+        """Memoize ``function(session, *args)`` as ``query:<name>``."""
+        return self._memoized(
+            f"query:{function.__name__}",
+            args,
+            lambda session: function(session, *args),
+        )
+
     def mean_topk_symmetric_difference(
         self, k: int
     ) -> Tuple[Tuple[Hashable, ...], float]:
         """Theorem 3 mean Top-k answer under ``d_Δ``."""
+        from repro.consensus.topk import symmetric_difference
 
-        def compute() -> Tuple[Tuple[Hashable, ...], float]:
-            from repro.consensus.topk.symmetric_difference import (
-                mean_topk_symmetric_difference,
-            )
-
-            return mean_topk_symmetric_difference(self, k)
-
-        return self._memoized("query:mean_topk_symmetric_difference", (k,), compute)
+        return self._memoized_query(
+            symmetric_difference.mean_topk_symmetric_difference, k
+        )
 
     def median_topk_symmetric_difference(
         self, k: int
     ) -> Tuple[Tuple[Hashable, ...], float]:
         """Theorem 4 median Top-k answer under ``d_Δ``."""
+        from repro.consensus.topk import symmetric_difference
 
-        def compute() -> Tuple[Tuple[Hashable, ...], float]:
-            from repro.consensus.topk.symmetric_difference import (
-                median_topk_symmetric_difference,
-            )
-
-            return median_topk_symmetric_difference(self, k)
-
-        return self._memoized(
-            "query:median_topk_symmetric_difference", (k,), compute
+        return self._memoized_query(
+            symmetric_difference.median_topk_symmetric_difference, k
         )
 
     def mean_topk_intersection(
         self, k: int
     ) -> Tuple[Tuple[Hashable, ...], float]:
         """Exact mean Top-k answer under the intersection metric."""
+        from repro.consensus.topk.intersection import mean_topk_intersection
 
-        def compute() -> Tuple[Tuple[Hashable, ...], float]:
-            from repro.consensus.topk.intersection import mean_topk_intersection
-
-            return mean_topk_intersection(self, k)
-
-        return self._memoized("query:mean_topk_intersection", (k,), compute)
+        return self._memoized_query(mean_topk_intersection, k)
 
     def approximate_topk_intersection(
         self, k: int
     ) -> Tuple[Tuple[Hashable, ...], float]:
         """``Υ_H``-based ``H_k``-approximation under the intersection metric."""
+        from repro.consensus.topk import intersection
 
-        def compute() -> Tuple[Tuple[Hashable, ...], float]:
-            from repro.consensus.topk.intersection import (
-                approximate_topk_intersection,
-            )
-
-            return approximate_topk_intersection(self, k)
-
-        return self._memoized(
-            "query:approximate_topk_intersection", (k,), compute
+        return self._memoized_query(
+            intersection.approximate_topk_intersection, k
         )
 
     def mean_topk_footrule(
         self, k: int
     ) -> Tuple[Tuple[Hashable, ...], float]:
         """Exact mean Top-k answer under the Spearman footrule distance."""
+        from repro.consensus.topk.footrule import mean_topk_footrule
 
-        def compute() -> Tuple[Tuple[Hashable, ...], float]:
-            from repro.consensus.topk.footrule import mean_topk_footrule
-
-            return mean_topk_footrule(self, k)
-
-        return self._memoized("query:mean_topk_footrule", (k,), compute)
+        return self._memoized_query(mean_topk_footrule, k)
 
     def approximate_topk_kendall(
         self,
@@ -673,8 +677,8 @@ class QuerySession:
         return self._memoized(
             "query:approximate_topk_kendall",
             (k, candidate_pool_size),
-            lambda: approximate_topk_kendall(
-                self, k, candidate_pool_size=candidate_pool_size
+            lambda session: approximate_topk_kendall(
+                session, k, candidate_pool_size=candidate_pool_size
             ),
         )
 
@@ -682,84 +686,72 @@ class QuerySession:
         self,
     ) -> Tuple[FrozenSet[TupleAlternative], float]:
         """Theorem 2 mean consensus world under symmetric difference."""
-
-        def compute() -> Tuple[FrozenSet[TupleAlternative], float]:
-            from repro.consensus.set_consensus import (
-                mean_world_symmetric_difference,
-            )
-
-            return mean_world_symmetric_difference(self._tree)
+        from repro.consensus import set_consensus
 
         return self._memoized(
-            "query:mean_world_symmetric_difference", (), compute
+            "query:mean_world_symmetric_difference",
+            (),
+            lambda session: set_consensus.mean_world_symmetric_difference(
+                session._tree
+            ),
         )
 
     def median_world_symmetric_difference(
         self,
     ) -> Tuple[FrozenSet[TupleAlternative], float]:
         """Exact median consensus world under symmetric difference."""
-
-        def compute() -> Tuple[FrozenSet[TupleAlternative], float]:
-            from repro.consensus.set_consensus import (
-                median_world_symmetric_difference,
-            )
-
-            return median_world_symmetric_difference(self._tree)
+        from repro.consensus import set_consensus
 
         return self._memoized(
-            "query:median_world_symmetric_difference", (), compute
+            "query:median_world_symmetric_difference",
+            (),
+            lambda session: set_consensus.median_world_symmetric_difference(
+                session._tree
+            ),
         )
 
     def mean_world_jaccard(
         self,
     ) -> Tuple[FrozenSet[TupleAlternative], float]:
         """Lemma 2 mean consensus world under the Jaccard distance."""
+        from repro.consensus import jaccard
 
-        def compute() -> Tuple[FrozenSet[TupleAlternative], float]:
-            from repro.consensus.jaccard import (
-                mean_world_jaccard_tuple_independent,
-            )
-
-            return mean_world_jaccard_tuple_independent(self._tree)
-
-        return self._memoized("query:mean_world_jaccard", (), compute)
+        return self._memoized(
+            "query:mean_world_jaccard",
+            (),
+            lambda session: jaccard.mean_world_jaccard_tuple_independent(
+                session._tree
+            ),
+        )
 
     def median_world_jaccard(
         self,
     ) -> Tuple[FrozenSet[TupleAlternative], float]:
         """Median consensus world under the Jaccard distance (BID)."""
+        from repro.consensus.jaccard import median_world_jaccard_bid
 
-        def compute() -> Tuple[FrozenSet[TupleAlternative], float]:
-            from repro.consensus.jaccard import median_world_jaccard_bid
-
-            return median_world_jaccard_bid(self._tree)
-
-        return self._memoized("query:median_world_jaccard", (), compute)
+        return self._memoized(
+            "query:median_world_jaccard",
+            (),
+            lambda session: median_world_jaccard_bid(session._tree),
+        )
 
     def global_topk(self, k: int) -> Tuple[Hashable, ...]:
         """The Global-Top-k baseline answer."""
+        from repro.baselines.ranking import global_topk
 
-        def compute() -> Tuple[Hashable, ...]:
-            from repro.baselines.ranking import global_topk
-
-            return global_topk(self, k)
-
-        return self._memoized("query:global_topk", (k,), compute)
+        return self._memoized_query(global_topk, k)
 
     def expected_rank_topk(self, k: int) -> Tuple[Hashable, ...]:
         """The expected-rank baseline answer."""
+        from repro.baselines.ranking import expected_rank_topk
 
-        def compute() -> Tuple[Hashable, ...]:
-            from repro.baselines.ranking import expected_rank_topk
-
-            return expected_rank_topk(self, k)
-
-        return self._memoized("query:expected_rank_topk", (k,), compute)
+        return self._memoized_query(expected_rank_topk, k)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"QuerySession({self._tree!r}, entries={len(self._cache)}, "
-            f"hits={self._hits}, misses={self._misses}, "
+            f"hits={self.cache_hits}, misses={self.cache_misses}, "
             f"generation={self._generation})"
         )
 

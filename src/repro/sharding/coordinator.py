@@ -28,9 +28,7 @@ Two properties make the coordinator honest under sustained mixed traffic:
 * **MVCC, one entry per vector**: every merged artifact (memoized
   answers, merged layout, merged tree and its statistics) lives in the
   entry of the version vector it was computed at, in a small bounded LRU
-  store.  The coordinator reads at the current vector; :meth:`at` returns
-  a :class:`SnapshotReader` that reads at a pinned one, through the same
-  code.  A shard still at the vector's version resolves to its live
+  store.  A shard still at the vector's version resolves to its live
   generation; a superseded one to the archive the owning database filed
   right before the update.  Updates publish a new vector, so in-flight
   readers keep answering from their pinned snapshot without blocking or
@@ -38,6 +36,14 @@ Two properties make the coordinator honest under sustained mixed traffic:
   (:func:`~repro.sharding.merge.merge_from_scratch`) so it never thrashes
   the engine's partials, and one whose shard versions left the bounded
   history raises :class:`~repro.exceptions.SnapshotTooOldError`.
+
+A read fixes its vector one way: through the session it runs on.  A
+:class:`SnapshotReader` (:meth:`ShardedQuerySession.at`) reads at its
+pinned vector.  The coordinator reads each call at the vector current when
+the call begins, and computes a memoized artifact it lacks on a reader
+pinned there, so the whole computation reads one entry.  Several calls
+that must agree on one vector go through one reader: the query connection
+pins one per query or batch, the serving executor one per ingress vector.
 
 Over a :class:`~repro.models.sharded.ShardedDatabase` the coordinator reads
 shards through one path whichever executor runs them: the columns come
@@ -53,7 +59,18 @@ from __future__ import annotations
 import threading
 import weakref
 from collections import OrderedDict
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import (
+    Any,
+    Dict,
+    Hashable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.andxor.nodes import AndNode
 from repro.andxor.rank_probabilities import RankStatistics
@@ -70,40 +87,18 @@ from repro.sharding.merge import (
 from repro.sharding.summary import ShardLayout, ShardRankSummary, shard_layout
 
 
-class _MergedLayout:
+class _MergedLayout(NamedTuple):
     """Light per-coordinator index of the merged key/alternative space."""
 
-    __slots__ = (
-        "keys_order",
-        "presence",
-        "alternatives",
-        "best_score",
-        "triples",
-        "independent",
-        "key_to_shard",
-        "grid_scores",
-    )
-
-    def __init__(
-        self,
-        keys_order: List[Hashable],
-        presence: Dict[Hashable, float],
-        alternatives: Dict[Hashable, List[Tuple[float, float]]],
-        best_score: Dict[Hashable, float],
-        triples: List[Tuple[float, float, Hashable]],
-        independent: bool,
-        key_to_shard: Dict[Hashable, int],
-        grid_scores: List[float],
-    ) -> None:
-        self.keys_order = keys_order
-        self.presence = presence
-        self.alternatives = alternatives
-        self.best_score = best_score
-        self.triples = triples
-        self.independent = independent
-        #: Key -> position of its shard among the non-empty shards.
-        self.key_to_shard = key_to_shard
-        self.grid_scores = grid_scores
+    keys_order: List[Hashable]
+    presence: Dict[Hashable, float]
+    alternatives: Dict[Hashable, List[Tuple[float, float]]]
+    best_score: Dict[Hashable, float]
+    triples: List[Tuple[float, float, Hashable]]
+    independent: bool
+    #: Key -> position of its shard among the non-empty shards.
+    key_to_shard: Dict[Hashable, int]
+    grid_scores: List[float]
 
 
 class _VersionEntry:
@@ -214,7 +209,6 @@ class ShardedQuerySession(QuerySession):
             ]
         self._validate_scores = validate_scores
         self._shared = _SharedState(max(1, int(snapshot_history)))
-        self._reading = threading.local()
         self._init_cache_state()
 
     # ------------------------------------------------------------------
@@ -225,16 +219,12 @@ class ShardedQuerySession(QuerySession):
         the static shard sessions' generations."""
         if self._database is not None:
             return tuple(self._database.versions())
-        return (
-            (),
-            tuple(session.generation for session in self._static_sessions),
-        )
+        return tuple(session.generation for session in self._static_sessions)
 
     def _vector(self) -> Any:
-        """The version vector this session reads at: the one current when
-        this thread's outermost artifact read began."""
-        entry = getattr(self._reading, "entry", None)
-        return self._current_vector() if entry is None else entry.vector
+        """The version vector this session reads at (the coordinator: the
+        current one; a reader: its pinned one)."""
+        return self._current_vector()
 
     def _pinned_generation(
         self, shard: Any, vector: Any
@@ -333,9 +323,6 @@ class ShardedQuerySession(QuerySession):
         """The artifact entry of the vector this session reads at, created
         on first use; the store keeps the ``snapshot_history`` most
         recently read vectors."""
-        entry = getattr(self._reading, "entry", None)
-        if entry is not None:
-            return entry
         vector = self._vector()
         shared = self._shared
         with shared.lock:
@@ -349,22 +336,28 @@ class ShardedQuerySession(QuerySession):
                 shared.store.move_to_end(vector)
         return entry
 
-    def _artifacts(self) -> Dict[Any, Any]:
-        return self._entry().cache
+    def _memo_scope(self) -> Tuple[Dict[Any, Any], Any]:
+        entry = self._entry()
+        return entry.cache, entry.vector
 
-    def _memoized(self, artifact, params, compute):
-        # One read, one vector: the outermost artifact read on a thread
-        # holds its vector's entry for every read nested in it, so an
-        # update landing mid-read can neither mix two vectors' shards into
-        # one artifact nor file an artifact under another vector's entry.
-        reading = self._reading
-        if getattr(reading, "entry", None) is not None:
-            return super()._memoized(artifact, params, compute)
-        reading.entry = self._entry()
-        try:
-            return super()._memoized(artifact, params, compute)
-        finally:
-            reading.entry = None
+    @contextmanager
+    def _pinned_read(
+        self, vector: Any = None
+    ) -> Iterator["ShardedQuerySession"]:
+        """A reader pinned at ``vector`` (default: the current one) whose
+        reads count as this coordinator's cache hits and misses.
+
+        A memoized artifact is computed on the reader pinned at the vector
+        of the entry it fills, so an update landing mid-computation can
+        neither mix two vectors' shards into one artifact nor file an
+        artifact under another vector's entry."""
+        self._sync_backend()
+        reader = SnapshotReader(
+            self, self._current_vector() if vector is None else vector
+        )
+        reader._artifact_hits = self._artifact_hits
+        reader._artifact_misses = self._artifact_misses
+        yield reader
 
     def invalidate(self) -> None:
         """Drop every merged artifact, snapshot entry and cached partial."""
@@ -419,18 +412,20 @@ class ShardedQuerySession(QuerySession):
         :class:`~repro.exceptions.SnapshotTooOldError`.
         """
         if versions is None:
-            return SnapshotReader(self, self._current_vector())
-        if self._database is None:
+            pinned = self._current_vector()
+        elif self._database is None:
             raise ValueError(
                 "a static coordinator has no shard-version vector; "
                 "call at() without arguments to pin the current state"
             )
-        pinned = tuple(versions)
-        if len(pinned) != len(self._database.shards()):
-            raise ValueError(
-                f"version vector of length {len(pinned)} does not "
-                f"match {len(self._database.shards())} shards"
-            )
+        else:
+            pinned = tuple(versions)
+            if len(pinned) != len(self._database.shards()):
+                raise ValueError(
+                    f"version vector of length {len(pinned)} does not "
+                    f"match {len(self._database.shards())} shards"
+                )
+        self._shared.engine.counters["snapshot_reads"] += 1
         return SnapshotReader(self, pinned)
 
     def _archive_shard(self, shard: Any) -> None:
@@ -577,15 +572,8 @@ class ShardedQuerySession(QuerySession):
                 triples[position] = triple
         # Scores and keys are unchanged by precondition, so the best-score
         # and key-ownership maps carry over without copying.
-        return _MergedLayout(
-            previous.keys_order,
-            presence,
-            alternatives,
-            previous.best_score,
-            triples,
-            previous.independent,
-            previous.key_to_shard,
-            previous.grid_scores,
+        return previous._replace(
+            presence=presence, alternatives=alternatives, triples=triples
         )
 
     def _build_layout(self, vector: Any) -> _MergedLayout:
@@ -777,7 +765,7 @@ class ShardedQuerySession(QuerySession):
         return self._memoized(
             "rank_matrix",
             (max_rank,),
-            lambda: self._merged_rank_matrix(max_rank),
+            lambda session: session._merged_rank_matrix(max_rank),
         )
 
     def _merged_rank_matrix(self, max_rank: int) -> RankMatrix:
@@ -828,8 +816,8 @@ class ShardedQuerySession(QuerySession):
         """
         params = (None,) if keys is None else (tuple(keys),)
 
-        def compute() -> PairwisePreferenceMatrix:
-            layout = self._layout()
+        def compute(session: ShardedQuerySession) -> PairwisePreferenceMatrix:
+            layout = session._layout()
             backend = get_backend()
             matrix_keys = list(
                 layout.keys_order if keys is None else keys
@@ -872,8 +860,8 @@ class ShardedQuerySession(QuerySession):
     def expected_rank_table(self) -> Dict[Hashable, float]:
         """Merged Cormode-style expected ranks (closed form, O(n log n))."""
 
-        def compute() -> Dict[Hashable, float]:
-            layout = self._layout()
+        def compute(session: ShardedQuerySession) -> Dict[Hashable, float]:
+            layout = session._layout()
             triples = layout.triples
             neg_scores = [-score for score, _, _ in triples]
             prefix_mass = [0.0]
@@ -903,8 +891,8 @@ class ShardedQuerySession(QuerySession):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"{type(self).__name__}({self.shard_count} shards, "
-            f"vector={self._vector()!r}, hits={self._hits}, "
-            f"misses={self._misses}, generation={self._generation})"
+            f"vector={self._vector()!r}, hits={self.cache_hits}, "
+            f"misses={self.cache_misses}, generation={self._generation})"
         )
 
 
@@ -925,10 +913,8 @@ class SnapshotReader(ShardedQuerySession):
         self._static_sessions = parent._static_sessions
         self._validate_scores = parent._validate_scores
         self._shared = parent._shared
-        self._reading = threading.local()
         self._pinned = pinned
         self._init_cache_state()
-        self._shared.engine.counters["snapshot_reads"] += 1
 
     @property
     def pinned_versions(self) -> Any:
@@ -937,6 +923,9 @@ class SnapshotReader(ShardedQuerySession):
 
     def _vector(self) -> Any:
         return self._pinned
+
+    # A reader is already pinned: its reads run on itself.
+    _pinned_read = QuerySession._pinned_read
 
     def version_token(self, versions: Any = None) -> Tuple[Any, ...]:
         # Answers computed through a pinned reader are the parent

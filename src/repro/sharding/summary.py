@@ -446,9 +446,7 @@ def _first_change(old: ShardLayout, new: ShardLayout) -> int:
 
 def shard_layout(session: Any) -> ShardLayout:
     """The session's memoized :class:`ShardLayout` (one per generation)."""
-    return session._memoized(
-        "shard_layout", (), lambda: ShardLayout(session)
-    )
+    return session._memoized("shard_layout", (), ShardLayout)
 
 
 class _SummaryTables:

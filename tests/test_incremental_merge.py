@@ -16,11 +16,15 @@ import threading
 
 import pytest
 
+import repro
 from conftest import small_bid
-from repro.consensus.topk.common import top_keys
 from repro.engine import get_backend, numpy_available, use_backend
 from repro.exceptions import SnapshotTooOldError
-from repro.models import BlockIndependentDatabase, ShardedDatabase
+from repro.models import (
+    BlockIndependentDatabase,
+    ShardedDatabase,
+    TupleIndependentDatabase,
+)
 from repro.query import Query
 from repro.serving import ServingExecutor
 from repro.session import QuerySession
@@ -130,24 +134,37 @@ class TestIncrementalVsRebuildParity:
                 # answers must still match to 1e-9.
                 if model == "ti":
                     sharded.update_tuple("t3", probability=0.42)
+                    updated = TupleIndependentDatabase(
+                        [
+                            (key, value, score, 0.42 if key == "t3" else p)
+                            for key, value, score, p in source
+                        ]
+                    )
                 else:
                     replacement = [
                         (value, score, min(1.0, probability * 0.7))
                         for value, score, probability in spec[2][1]
                     ]
                     sharded.update_block(spec[2][0], replacement)
+                    updated = BlockIndependentDatabase(
+                        spec[:2] + [(spec[2][0], replacement)] + spec[3:]
+                    )
                 rebuilt = _rebuilt_matrix(sharded, K)
                 assert_rows_close(_matrix_rows(incremental, K), _rows(rebuilt))
                 membership = rebuilt.membership()
                 for key, value in incremental.top_k_membership(K).items():
                     assert abs(membership[key] - value) < TOLERANCE
-                # Theorem 3: the mean answer is the K most likely top-K
-                # members of the from-scratch matrix.
-                keys = list(membership)
-                mean_keys, _ = incremental.mean_topk_symmetric_difference(K)
-                assert set(mean_keys) == set(
-                    top_keys(keys, [membership[key] for key in keys], K)
+                # The mean answer and its expected distance match an
+                # unsharded session over the updated data.
+                oracle = QuerySession(updated.tree)
+                mean_keys, objective = (
+                    incremental.mean_topk_symmetric_difference(K)
                 )
+                oracle_keys, oracle_objective = (
+                    oracle.mean_topk_symmetric_difference(K)
+                )
+                assert mean_keys == oracle_keys
+                assert abs(objective - oracle_objective) < TOLERANCE
 
 
 class TestConvolutionBudget:
@@ -290,6 +307,77 @@ class TestPinnedSnapshotReads:
             _matrix_rows(reference, K), _matrix_rows(coordinator.at(first), K)
         )
         assert abs(coordinator.rank_matrix(K).row(key)[0] - 0.99) < TOLERANCE
+
+    def test_fused_seeds_racing_an_update_stay_at_their_vector(
+        self, monkeypatch
+    ):
+        """An update that lands between the fused sweep and the seeding
+        leaves no slice of the old vector's sweep in the new vector's
+        entry."""
+        sharded = ShardedDatabase(_ti_tuples(61, 24), 4)
+        coordinator = sharded.coordinator()
+        before = ShardedDatabase(_ti_tuples(61, 24), 4).coordinator()
+        after_db = ShardedDatabase(_ti_tuples(61, 24), 4)
+        first = sharded.versions()
+        key = coordinator.keys()[0]
+        after_db.update_tuple(key, probability=0.99)
+        after = after_db.coordinator()
+        connection = repro.connect(sharded, result_cache=False)
+        plans = [connection.plan(Query.membership(k)) for k in (3, 6)]
+        merge = ShardedQuerySession._merged_rank_matrix
+
+        def racing(session, max_rank):
+            matrix = merge(session, max_rank)
+            if sharded.versions() == first:
+                sharded.update_tuple(key, probability=0.99)
+            return matrix
+
+        monkeypatch.setattr(ShardedQuerySession, "_merged_rank_matrix", racing)
+        assert connection.planner.fuse_plans(coordinator, plans) == 2
+        monkeypatch.undo()
+        assert sharded.versions() != first
+        assert_rows_close(_matrix_rows(after, 3), _matrix_rows(coordinator, 3))
+        assert_rows_close(
+            _matrix_rows(before, 3), _matrix_rows(coordinator.at(first), 3)
+        )
+
+    def test_batch_racing_an_update_answers_and_caches_at_one_vector(
+        self, monkeypatch
+    ):
+        """A connection batch reads through one pinned reader: an update
+        landing mid-batch changes none of its answers, and they are cached
+        under the vector they were computed at."""
+        sharded = ShardedDatabase(_ti_tuples(67, 24), 4)
+        before = ShardedDatabase(_ti_tuples(67, 24), 4).coordinator()
+        after_db = ShardedDatabase(_ti_tuples(67, 24), 4)
+        first = sharded.versions()
+        key = before.keys()[0]
+        after_db.update_tuple(key, probability=0.99)
+        after = after_db.coordinator()
+        connection = repro.connect(sharded)
+        queries = [Query.membership(k) for k in (3, 6)]
+        merge = ShardedQuerySession._merged_rank_matrix
+
+        def racing(session, max_rank):
+            matrix = merge(session, max_rank)
+            if sharded.versions() == first:
+                sharded.update_tuple(key, probability=0.99)
+            return matrix
+
+        monkeypatch.setattr(ShardedQuerySession, "_merged_rank_matrix", racing)
+        answers = connection.execute_many(queries)
+        monkeypatch.undo()
+        assert sharded.versions() != first
+        for query, answer in zip(queries, answers):
+            expected = before.top_k_membership(query.k)
+            for name, value in expected.items():
+                assert abs(answer.value[name] - value) < TOLERANCE
+        for query in queries:
+            again = connection.execute(query)
+            assert not again.cached
+            expected = after.top_k_membership(query.k)
+            for name, value in expected.items():
+                assert abs(again.value[name] - value) < TOLERANCE
 
     def test_snapshot_readers_share_memoized_artifacts(self):
         sharded = ShardedDatabase(_ti_tuples(37, 20), 3)
